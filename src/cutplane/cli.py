@@ -195,9 +195,8 @@ def model_path(out: Path, family: str, preset: str) -> Path:
     return out / "models" / f"{family}-{preset}.json"
 
 
-def list_instances(dir_path: Path, limit=None) -> list[Path]:
-    paths = sorted(dir_path.glob("*.json"))
-    return paths[:limit] if limit else paths
+def list_instances(dir_path: Path) -> list[Path]:
+    return sorted(dir_path.glob("*.json"))
 
 
 def metadata_line(cfg: Settings, **extra) -> str:
@@ -330,7 +329,6 @@ def cmd_collect(cfg: Settings) -> None:
     roles = (cfg.get("role") or "train,val").split(",")
     policies = parse_policies(cfg.get_or("policies", "lookahead"))
     workers = int(cfg.get("workers"))
-    limit = None
     run_kwargs = {
         "max_iters": int(cfg.get("max_iters")),
         "arithmetic": cfg.get("arith"),
@@ -339,7 +337,7 @@ def cmd_collect(cfg: Settings) -> None:
     }
     model_file = cfg.get("model")
     for role in (r.strip() for r in roles):
-        paths = list_instances(instances_dir(out, family, preset, role), limit)
+        paths = list_instances(instances_dir(out, family, preset, role))
         if not paths:
             raise FileNotFoundError(f"no instances under {instances_dir(out, family, preset, role)}")
         for policy in policies:

@@ -79,6 +79,11 @@ class CutPool:
         return [c.id for c in self.cuts]
 
 
+# Integers of this magnitude or more are not all representable in float64, so
+# a snapped cut could no longer be exact, and its int64 gcd could wrap.
+SNAP_LIMIT = 2.0 ** 53
+
+
 def _gcd_reduce(alpha: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
     """Divide an all-integer cut by the common factor of its coefficients."""
     ints = np.abs(alpha.astype(np.int64))
@@ -102,7 +107,8 @@ def generate_cutpool(
 
     An integral optimum yields an empty pool.  Rows whose eliminated cut is
     numerically zero, or stops separating the fractional optimum after integer
-    snapping, are skipped and logged.
+    snapping, are skipped and logged.  A cut kept with non-integral or
+    too-large coefficients (at or above ``SNAP_LIMIT``) is logged as a warning.
     """
     if sol.status != OPTIMAL or sol.tableau is None:
         raise ValueError("cut generation requires an optimal solution with a tableau")
@@ -119,39 +125,54 @@ def generate_cutpool(
     if rows.size == 0:
         return CutPool(cuts, born_iter)
 
-    slack_cols = sorted(sf.row_of_slack)
-    src_rows = np.array([sf.row_of_slack[j] for j in slack_cols], dtype=int)
-    A_src = sf.aug[src_rows][:, :n] if slack_cols else np.zeros((0, n))
-    b_src = sf.rhs[src_rows] if slack_cols else np.zeros(0)
-    x = np.asarray(sol.x, dtype=float)
+    # One Gomory row per fractional basic value, all rows at once.
+    Lr = L[rows]
+    G = np.floor(Lr) - Lr
+    alpha = G[:, :n].copy()
+    beta = np.floor(v[rows]) - v[rows]
+    if sf.row_of_slack:
+        slack_cols = sorted(sf.row_of_slack)
+        src_rows = [sf.row_of_slack[j] for j in slack_cols]
+        R = G[:, slack_cols]
+        alpha -= R @ sf.aug[src_rows, :n]
+        beta -= R @ sf.rhs[src_rows]
+    alpha[np.abs(alpha) < tols.pivot_zero] = 0.0
 
-    for i in rows:
-        g = np.floor(L[i]) - L[i]
-        g0 = math.floor(v[i]) - v[i]
-        alpha = g[:n].copy()
-        beta = g0
-        if slack_cols:
-            r = g[slack_cols]
-            alpha -= r @ A_src
-            beta -= float(r @ b_src)
-        alpha[np.abs(alpha) < tols.pivot_zero] = 0.0
-        rounded = np.round(alpha)
-        beta_r = round(beta)
-        if np.max(np.abs(alpha - rounded), initial=0.0) <= 1e-6 and abs(beta - beta_r) <= 1e-6:
-            alpha, beta = _gcd_reduce(rounded, float(beta_r))
-        if not np.any(alpha):
+    # Snap rows that are integral to within 1e-6, then divide out their common
+    # factor.  "+ 0.0" stores a zero right-hand side as +0.0, never -0.0.
+    rounded = np.round(alpha)
+    beta_r = np.round(beta) + 0.0
+    near = ((np.abs(alpha - rounded).max(axis=1, initial=0.0) <= 1e-6)
+            & (np.abs(beta - beta_r) <= 1e-6))
+    small = ((np.abs(rounded).max(axis=1, initial=0.0) < SNAP_LIMIT)
+             & (np.abs(beta_r) < SNAP_LIMIT))
+    snap = near & small
+    if snap.any():
+        ints = np.abs(rounded[snap].astype(np.int64))
+        g = np.gcd(np.gcd.reduce(ints, axis=1), np.abs(beta_r[snap].astype(np.int64)))
+        g = np.maximum(g, 1)
+        alpha[snap] = rounded[snap] / g[:, None]
+        beta[snap] = beta_r[snap] / g
+
+    nonzero = alpha.any(axis=1)
+    violation = alpha @ np.asarray(sol.x, dtype=float) - beta
+    for k, i in enumerate(rows):
+        if not nonzero[k]:
             logger.debug("iteration %d: all-zero cut from tableau row %d skipped", born_iter, i)
             continue
-        violation = float(alpha @ x) - beta
-        if violation <= tols.feasibility:
+        if violation[k] <= tols.feasibility:
             logger.debug(
                 "iteration %d: degenerate cut from row %d (violation %.2e) skipped",
-                born_iter, i, violation,
+                born_iter, i, violation[k],
             )
             continue
+        if not snap[k]:
+            reason = "a coefficient reaches 2**53" if near[k] else "not integral to within 1e-6"
+            logger.warning("iteration %d: cut from tableau row %d kept unsnapped (%s)",
+                           born_iter, i, reason)
         cuts.append(Cut(
-            alpha=alpha,
-            beta=float(beta),
+            alpha=alpha[k],
+            beta=float(beta[k]),
             id=next(ids),
             born_iter=born_iter,
             kind=GOMORY,

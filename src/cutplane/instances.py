@@ -4,10 +4,10 @@ All families emit integer coefficient data, bounded feasible regions, and a
 minimization objective (maximization families are negated).  Constraint rows
 are inequalities only: balance equations in production planning are emitted as
 <=/>= pairs so that every row carries a slack, which keeps eliminated Gomory
-cuts integral round after round.  Exact coefficient ranges are frozen in
-FORMULATIONS.md; presets `train` and `large` match the benchmark dimensions,
-`small` is the desk-scale preset, and `tiny` stays under 10 variables so
-exhaustive integer enumeration remains cheap.
+cuts integral round after round.  Each generator's docstring states its
+coefficient ranges and ``PRESETS`` its sizes: presets `train` and `large`
+match the benchmark dimensions, `small` is the desk-scale preset, and `tiny`
+stays under 10 variables so exhaustive integer enumeration remains cheap.
 """
 
 from __future__ import annotations

@@ -155,22 +155,15 @@ def to_standard_form(lp: LinearProgram) -> StandardForm:
     """Append one +1 slack per inequality row; negate GE rows first."""
     lp.validate()
     n, m = lp.num_vars, lp.num_rows
-    ineq_rows = [i for i, s in enumerate(lp.senses) if s != EQ]
-    n_slacks = len(ineq_rows)
-    aug = np.zeros((m, n + n_slacks))
-    rhs = np.zeros(m)
-    row_of_slack: dict[int, int] = {}
-    next_slack = n
-    for i in range(m):
-        row, r, sense = lp.A[i], lp.b[i], lp.senses[i]
-        if sense == GE:
-            row, r = -row, -r
-        aug[i, :n] = row
-        rhs[i] = r
-        if sense != EQ:
-            aug[i, next_slack] = 1.0
-            row_of_slack[next_slack] = i
-            next_slack += 1
+    senses = np.array(lp.senses, dtype=object)
+    ge = senses == GE
+    ineq_rows = np.flatnonzero(senses != EQ)
+    slack_cols = n + np.arange(ineq_rows.size)
+    aug = np.zeros((m, n + ineq_rows.size))
+    aug[:, :n] = np.where(ge[:, None], -lp.A, lp.A)
+    aug[ineq_rows, slack_cols] = 1.0
+    rhs = np.where(ge, -lp.b, lp.b)
+    row_of_slack = dict(zip(slack_cols.tolist(), ineq_rows.tolist()))
     return StandardForm(aug=aug, rhs=rhs, slack_offset=n, row_of_slack=row_of_slack, num_vars=n)
 
 
@@ -222,12 +215,14 @@ def solve_lp(lp: LinearProgram, mode: str = FLOAT, tols: Tolerances = DEFAULT_TO
 # ---------------------------------------------------------------------------
 
 
-def _pivot_float(T: np.ndarray, row: int, col: int) -> None:
+def _pivot_float(T: np.ndarray, row: int, col: int, buf: np.ndarray) -> None:
+    """Pivot T on (row, col) in place; ``buf`` is scratch space of T's shape."""
     piv = T[row, col]
     pr = T[row] / piv
     colv = T[:, col].copy()
     colv[row] = 0.0
-    T -= np.outer(colv, pr)
+    np.multiply(colv[:, None], pr, out=buf)
+    T -= buf
     T[row] = pr
     # Reset the entering column exactly; keeps basis columns exact unit vectors.
     T[:, col] = 0.0
@@ -240,27 +235,28 @@ def _run_pivots_float(T, basis, m, tols, bland_after, cycle_cap):
     nonimp = 0
     bland = False
     pivots = 0
+    buf = np.empty_like(T)
     while True:
         r = T[m, :-1]
         if bland:
-            neg = np.nonzero(r < -ptol)[0]
+            neg = (r < -ptol).nonzero()[0]
             if neg.size == 0:
                 return OPTIMAL
             j = int(neg[0])
         else:
-            j = int(np.argmin(r))
+            j = int(r.argmin())
             if r[j] >= -ptol:
                 return OPTIMAL
         col = T[:m, j]
-        pos = np.nonzero(col > ptol)[0]
+        pos = (col > ptol).nonzero()[0]
         if pos.size == 0:
             return UNBOUNDED
         ratios = np.maximum(T[pos, -1], 0.0) / col[pos]
         best = ratios.min()
         ties = pos[ratios <= best + 1e-9 * (1.0 + abs(best))]
-        i = int(ties[np.argmin(basis[ties])])
+        i = int(ties[0]) if ties.size == 1 else int(ties[basis[ties].argmin()])
         before = T[m, -1]
-        _pivot_float(T, i, j)
+        _pivot_float(T, i, j, buf)
         basis[i] = j
         pivots += 1
         if pivots > cycle_cap:
@@ -317,6 +313,7 @@ def _solve_float(sf: StandardForm, c: np.ndarray, tols: Tolerances) -> LpSolutio
         if -T[m, -1] > tols.feasibility:
             return LpSolution(INFEASIBLE)
         drop = []
+        buf = np.empty_like(T)
         for i in range(m):
             if basis[i] >= width:
                 row = T[i, :width]
@@ -325,7 +322,7 @@ def _solve_float(sf: StandardForm, c: np.ndarray, tols: Tolerances) -> LpSolutio
                     drop.append(i)  # redundant row
                 else:
                     j = int(cand[np.argmax(np.abs(row[cand]))])
-                    _pivot_float(T, i, j)
+                    _pivot_float(T, i, j, buf)
                     basis[i] = j
         if drop:
             keep = [i for i in range(m) if i not in drop]

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .gomory import ceil_snap
 from .lp import (
     DEFAULT_TOLS,
     LE,
@@ -44,13 +45,6 @@ class IlpResult:
     value: Optional[float] = None
     nodes_explored: int = 0
     proven: bool = True
-
-
-def _ceil_int(v: float, tol: float) -> int:
-    r = round(v)
-    if abs(v - r) <= tol:
-        return int(r)
-    return int(math.ceil(v))
 
 
 def _check_integer_feasible(lp: LinearProgram, x: np.ndarray, ints_ok: bool = True) -> bool:
@@ -154,7 +148,7 @@ def solve_ilp(
     while heap:
         bound, _, x, rows, rhs, senses = heapq.heappop(heap)
         if incumbent_val is not None:
-            eff = _ceil_int(bound, itol) if c_integral else bound
+            eff = ceil_snap(bound, itol) if c_integral else bound
             if eff >= incumbent_val:
                 continue
         if nodes >= node_limit:
@@ -172,7 +166,7 @@ def solve_ilp(
             if child is None or child.status != OPTIMAL:
                 continue
             if incumbent_val is not None:
-                eff = _ceil_int(child.value, itol) if c_integral else child.value
+                eff = ceil_snap(child.value, itol) if c_integral else child.value
                 if eff >= incumbent_val:
                     continue
             push(child, rows + [ej], np.concatenate([rhs, [float(bval)]]) if len(rhs) else np.array([float(bval)]), senses + [sense])

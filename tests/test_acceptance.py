@@ -536,7 +536,7 @@ def test_criterion_8_full_preset_pipeline(tmp_path_factory):
     """The benchmark-dimension pipeline runs end to end and emits curves.
 
     Results are reported, not gated; the full 2000/500/500-instance run is the
-    same invocation with larger counts (documented in the README).
+    same invocation with ``gen --count 2000,500,500``.
     """
     out = tmp_path_factory.mktemp("fullpreset")
     base = ["--family", "packing", "--preset", "train", "--out", str(out)]

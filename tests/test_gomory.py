@@ -1,6 +1,7 @@
 """Cut generation checked against exhaustive integer enumeration."""
 
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -14,7 +15,18 @@ from cutplane.gomory import (
     generate_cutpool,
     validate_cut,
 )
-from cutplane.lp import LE, RATIONAL, LinearProgram, solve_lp, solve_simplex, to_standard_form
+from cutplane.lp import (
+    LE,
+    OPTIMAL,
+    RATIONAL,
+    LinearProgram,
+    LpSolution,
+    SimplexTableau,
+    StandardForm,
+    solve_lp,
+    solve_simplex,
+    to_standard_form,
+)
 from cutplane.oracle import enumerate_integer_points, integer_box, solve_ilp
 
 
@@ -127,3 +139,46 @@ def test_pool_size_bounded_by_tableau_rows():
     lp = two_var_example()
     sol, _, pool = pool_for(lp)
     assert len(pool) <= sol.tableau.matrix.shape[0]
+
+
+def one_row_pool(a, b, caplog):
+    """Pool of a hand-built tableau: x basic at 2.5 with slack entry 0.5 in the
+    row x*a + s = b, so the eliminated cut is (a/2) x <= (b-1)/2."""
+    lp = LinearProgram(objective=[-1.0], A=[[a]], b=[b], senses=[LE])
+    sf = StandardForm(aug=np.array([[a, 1.0]]), rhs=np.array([b]), slack_offset=1,
+                      row_of_slack={1: 0}, num_vars=1)
+    tab = SimplexTableau(basis=np.array([0]), matrix=np.array([[1.0, 0.5]]),
+                         rhs=np.array([2.5]), reduced_costs=np.array([0.0, 1.0]))
+    sol = LpSolution(OPTIMAL, x=np.array([2.5]), value=-2.5, tableau=tab)
+    with caplog.at_level(logging.WARNING, logger="cutplane.gomory"):
+        pool = generate_cutpool(sol, sf, lp, id_counter=itertools.count(), born_iter=1)
+    return pool, [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+
+
+def test_non_integral_cut_kept_unsnapped_with_warning(caplog):
+    pool, warnings = one_row_pool(1.0, 3.0, caplog)
+    assert len(pool) == 1
+    assert pool.cuts[0].alpha.tolist() == [0.5] and pool.cuts[0].beta == 1.0
+    assert len(warnings) == 1 and "not integral" in warnings[0]
+
+
+def test_cut_reaching_2_53_not_snapped_with_warning(caplog):
+    """Integral, but past the float64 integers: no snap, so no int64 gcd that could wrap."""
+    pool, warnings = one_row_pool(2.0 ** 54, 2.0 ** 54, caplog)
+    assert len(pool) == 1
+    assert pool.cuts[0].alpha.tolist() == [2.0 ** 53]
+    assert len(warnings) == 1 and "2**53" in warnings[0]
+
+
+def test_snapped_cut_logs_no_warning(caplog):
+    pool, warnings = one_row_pool(4.0, 5.0, caplog)
+    assert len(pool) == 1
+    assert pool.cuts[0].alpha.tolist() == [1.0] and pool.cuts[0].beta == 1.0  # 2x <= 2, reduced
+    assert warnings == []
+
+
+def test_snapped_zero_rhs_is_positive_zero(caplog):
+    """A right-hand side that rounds to zero from below is stored as +0.0."""
+    pool, _ = one_row_pool(2.0, 1.0 - 1e-8, caplog)
+    assert len(pool) == 1
+    assert pool.cuts[0].alpha.tolist() == [1.0] and repr(pool.cuts[0].beta) == "0.0"
