@@ -29,6 +29,8 @@ from .lp import (
     OPTIMAL,
     CycleLimitExceeded,
     LinearProgram,
+    LpSolution,
+    StandardForm,
     Tolerances,
     is_integral,
     solve_simplex,
@@ -71,6 +73,11 @@ class CutPlaneState:
 
     In add-only mode ``x_star``/``lp_value`` belong to (H u P_k); in removal
     mode they belong to (H u P_k u C_k), the all-cuts LP of the iteration.
+    ``solved`` holds that LP's standard form and optimal solution, as the
+    loop solved it: add look-ahead re-optimizes each pool cut into its float
+    tableau, and leave-one-out scoring reads off its basis which candidates
+    are slack.  ``None`` (a replayed or hand-built state) means every
+    scoring LP is solved cold.
     """
 
     base: LinearProgram
@@ -81,6 +88,7 @@ class CutPlaneState:
     lp_value: float
     arithmetic: str = FLOAT
     tols: Tolerances = DEFAULT_TOLS
+    solved: Optional[tuple[StandardForm, LpSolution]] = None
 
     def candidates(self) -> list[Cut]:
         return list(self.active_cuts) + list(self.pool.cuts)
@@ -151,7 +159,7 @@ def run_add_only(
         xk = np.asarray(sol.x, dtype=float)
         pool = generate_cutpool(sol, sf, lp_k, cfg.integrality_tol, ids, k, cfg.tols)
         registry.update({c.id: c for c in pool.cuts})
-        state = CutPlaneState(lp, P, pool, k, xk, vk, cfg.arithmetic, cfg.tols)
+        state = CutPlaneState(lp, P, pool, k, xk, vk, cfg.arithmetic, cfg.tols, (sf, sol))
         if is_integral(xk, cfg.integrality_tol):
             records.append(_record(k, vk, pool, P, [], [], xk, None))
             status = INTEGRAL_FOUND
@@ -193,15 +201,16 @@ def run_removal(
         registry.update({c.id: c for c in pool.cuts})
         if pool.cuts:
             lp_full = apply_cuts(lp_k, pool.cuts)
-            _, sol_full = _solve(lp_full, cfg)
+            sf_full, sol_full = _solve(lp_full, cfg)
             if sol_full is None:
                 status = NUMERICAL_FAILURE
                 break
         else:
-            sol_full = sol_base
+            sf_full, sol_full = sf_k, sol_base
         vk = float(sol_full.value)
         xk = np.asarray(sol_full.x, dtype=float)
-        state = CutPlaneState(lp, P, pool, k, xk, vk, cfg.arithmetic, cfg.tols)
+        state = CutPlaneState(lp, P, pool, k, xk, vk, cfg.arithmetic, cfg.tols,
+                              (sf_full, sol_full))
         if is_integral(xk, cfg.integrality_tol):
             records.append(_record(k, vk, pool, P, [], [], xk, None))
             status = INTEGRAL_FOUND

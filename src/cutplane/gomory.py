@@ -177,7 +177,7 @@ def generate_cutpool(
             born_iter=born_iter,
             kind=GOMORY,
             basic_var=int(tab.basis[i]),
-            row_norm=float(np.linalg.norm(L[i])),
+            row_norm=math.sqrt(L[i].dot(L[i])),  # what np.linalg.norm computes
             frac_dist=float(frac_dist[i]),
         ))
     return CutPool(cuts, born_iter)

@@ -6,16 +6,29 @@ the *final optimal tableau* is exposed, because Gomory cuts are read directly
 from its rows.  Two arithmetic modes are supported: float64 (default) and exact
 rationals via ``fractions.Fraction`` (the correctness oracle for the float path,
 and the safe mode for tolerance-sensitive cut generation).
+
+Most LPs the package solves are an LP it has just solved plus a few rows: a
+pool cut for look-ahead scoring, a bound row for a branch-and-bound child.
+:func:`reoptimize` appends such rows to an optimal float tableau, each with
+its own +1 slack basic in its row, and runs dual-simplex pivots until the new
+rows are primal feasible (Bixby 2002, *Operations Research* 50(1)).  It works
+on a copy, and its columns are laid out exactly as ``to_standard_form`` lays
+out the bigger LP.  :func:`factorize` rebuilds an optimal tableau from a
+stored basis, and :func:`solve_warm` re-optimizes with a cold-solve fallback
+that logs a WARNING with its reason.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 # Row senses.
 LE, GE, EQ = "<=", ">=", "="
@@ -32,6 +45,14 @@ RATIONAL = "rational"
 
 class CycleLimitExceeded(RuntimeError):
     """Pivot count exceeded 50*(rows+cols): numerical pathology, not a model property."""
+
+
+class BasisError(ValueError):
+    """A stored basis does not fit its standard form, or no longer factorizes."""
+
+
+# Dual pivots :func:`reoptimize` allows per row and column of its tableau.
+REOPT_CAP_FACTOR = 50
 
 
 @dataclass(frozen=True)
@@ -155,9 +176,8 @@ def to_standard_form(lp: LinearProgram) -> StandardForm:
     """Append one +1 slack per inequality row; negate GE rows first."""
     lp.validate()
     n, m = lp.num_vars, lp.num_rows
-    senses = np.array(lp.senses, dtype=object)
-    ge = senses == GE
-    ineq_rows = np.flatnonzero(senses != EQ)
+    ge = np.array([s == GE for s in lp.senses], dtype=bool)
+    ineq_rows = np.flatnonzero(np.array([s != EQ for s in lp.senses], dtype=bool))
     slack_cols = n + np.arange(ineq_rows.size)
     aug = np.zeros((m, n + ineq_rows.size))
     aug[:, :n] = np.where(ge[:, None], -lp.A, lp.A)
@@ -346,10 +366,15 @@ def _solve_float(sf: StandardForm, c: np.ndarray, tols: Tolerances) -> LpSolutio
     status = _run_pivots_float(T, basis, m, tols, bland_after, cycle_cap)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED)
+    return _float_solution(T, basis, m, c)
 
+
+def _float_solution(T: np.ndarray, basis: np.ndarray, m: int, c: np.ndarray) -> LpSolution:
+    """The optimal solution held by a final tableau (reduced costs in row m)."""
+    width = T.shape[1] - 1
     xfull = np.zeros(width)
     xfull[basis] = np.maximum(T[:m, -1], 0.0)
-    x = xfull[:n]
+    x = xfull[:c.shape[0]]
     tab = SimplexTableau(
         basis=basis.copy(),
         matrix=T[:m, :width].copy(),
@@ -357,6 +382,160 @@ def _solve_float(sf: StandardForm, c: np.ndarray, tols: Tolerances) -> LpSolutio
         reduced_costs=T[m, :width].copy(),
     )
     return LpSolution(OPTIMAL, x=x, value=float(c @ x), tableau=tab)
+
+
+# ---------------------------------------------------------------------------
+# float64 re-optimization from a known basis
+# ---------------------------------------------------------------------------
+
+
+def _dual_pivots_float(T, basis, m, tols, cycle_cap):
+    """Dual simplex on a dual-feasible tableau: pivot the most negative basic
+    value out until none is below -pivot_zero."""
+    ptol = tols.pivot_zero
+    pivots = 0
+    buf = np.empty_like(T)
+    while True:
+        v = T[:m, -1]
+        i = int(v.argmin())
+        if v[i] >= -ptol:
+            return OPTIMAL
+        row = T[i, :-1]
+        neg = (row < -ptol).nonzero()[0]
+        if neg.size == 0:
+            return INFEASIBLE  # the row's basic variable cannot be raised to zero
+        ratios = np.maximum(T[m, neg], 0.0) / -row[neg]
+        best = ratios.min()
+        ties = neg[ratios <= best + 1e-9 * (1.0 + abs(best))]
+        j = int(ties[0]) if ties.size == 1 else int(ties[np.abs(row[ties]).argmax()])
+        _pivot_float(T, i, j, buf)
+        basis[i] = j
+        pivots += 1
+        if pivots > cycle_cap:
+            raise CycleLimitExceeded(f"exceeded {cycle_cap} dual pivots")
+
+
+def reoptimize(
+    sol: LpSolution,
+    objective: Sequence[float],
+    alpha: np.ndarray,
+    beta: Sequence[float],
+    tols: Tolerances = DEFAULT_TOLS,
+) -> LpSolution:
+    """Optimum of ``sol``'s LP plus the rows ``alpha @ x <= beta``, by dual simplex.
+
+    ``sol`` must be an optimal float solution with a tableau; it is not
+    modified.  Row i of ``alpha`` gets slack column ``width + i``, where
+    ``width`` is the parent tableau's column count, as ``to_standard_form``
+    numbers the slacks of appended ``<=`` rows.  The parent basis stays dual
+    feasible, so dual pivots restore primal feasibility; a primal pass then
+    removes any reduced cost that noise left below -pivot_zero.  Returns
+    status INFEASIBLE when a violated row cannot be repaired, and raises
+    :class:`CycleLimitExceeded` after ``REOPT_CAP_FACTOR * (rows + columns)``
+    pivots.
+    """
+    tab = sol.tableau
+    if sol.status != OPTIMAL or tab is None or tab.exact:
+        raise ValueError("re-optimization needs an optimal float solution with a tableau")
+    c = np.asarray(objective, dtype=float)
+    alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    m, width = tab.matrix.shape
+    k = alpha.shape[0]
+    mk = m + k
+    T = np.zeros((mk + 1, width + k + 1))
+    T[:m, :width] = tab.matrix
+    T[:m, -1] = tab.rhs
+    # Express each new row in the nonbasic columns: subtract its basic part.
+    rows = np.zeros((k, width))
+    rows[:, :c.shape[0]] = alpha
+    coef = rows[:, tab.basis]
+    T[m:mk, :width] = rows - coef @ tab.matrix
+    T[m:mk, tab.basis] = 0.0
+    T[m:mk, -1] = beta - coef @ tab.rhs
+    T[np.arange(m, mk), np.arange(width, width + k)] = 1.0
+    T[mk, :width] = tab.reduced_costs
+    T[mk, -1] = -float(sol.value)
+    basis = np.concatenate([tab.basis, np.arange(width, width + k)])
+    cap = REOPT_CAP_FACTOR * (mk + width + k)
+    status = _dual_pivots_float(T, basis, mk, tols, cap)
+    if status == OPTIMAL:
+        status = _run_pivots_float(T, basis, mk, tols, cap // 10, cap)
+    if status != OPTIMAL:
+        return LpSolution(status)
+    return _float_solution(T, basis, mk, c)
+
+
+def factorize(
+    sf: StandardForm,
+    objective: Sequence[float],
+    basis: Sequence[int],
+    tols: Tolerances = DEFAULT_TOLS,
+) -> LpSolution:
+    """The optimal solution of ``sf`` at a basis it was solved to, rebuilt.
+
+    One ``np.linalg.solve`` with the basis matrix gives every tableau row and
+    the basic values; the reduced costs follow from them.  Raises
+    :class:`BasisError` when the basis does not have one column per row, its
+    matrix is singular, or the rebuilt tableau is not optimal within
+    ``tols`` (primal values below -feasibility, reduced costs below
+    -pivot_zero).
+    """
+    c = np.asarray(objective, dtype=float)
+    basis = np.asarray(basis, dtype=int)
+    m, width = sf.aug.shape
+    if basis.shape != (m,):
+        raise BasisError(f"basis has {basis.size} columns for {m} rows")
+    try:
+        rows = np.linalg.solve(sf.aug[:, basis], np.column_stack([sf.aug, sf.rhs]))
+    except np.linalg.LinAlgError as exc:
+        raise BasisError(f"basis matrix is singular ({exc})") from None
+    if not np.all(np.isfinite(rows)):
+        raise BasisError("basis matrix is singular (non-finite tableau)")
+    T = np.zeros((m + 1, width + 1))
+    T[:m] = rows
+    T[:m, basis] = 0.0
+    T[np.arange(m), basis] = 1.0
+    cx = np.zeros(width)
+    cx[:sf.num_vars] = c
+    T[m, :width] = cx - cx[basis] @ T[:m, :width]
+    T[m, basis] = 0.0
+    if T[:m, -1].min(initial=0.0) < -tols.feasibility:
+        raise BasisError("basis is not primal feasible")
+    if T[m, :width].min(initial=0.0) < -tols.pivot_zero:
+        raise BasisError("basis is not dual feasible")
+    return _float_solution(T, basis, m, c)
+
+
+def solve_warm(
+    lp: LinearProgram,
+    parent: LpSolution,
+    new_rows: int,
+    tols: Tolerances = DEFAULT_TOLS,
+) -> LpSolution:
+    """Solve ``lp``, which is ``parent``'s LP plus its last ``new_rows`` rows.
+
+    The rows (``<=`` or ``>=``, which is negated as ``to_standard_form``
+    does) are re-optimized into ``parent``'s tableau.  On the pivot cap or
+    any status but OPTIMAL, a WARNING gives the reason and ``lp`` is solved
+    cold, so a warm INFEASIBLE is always confirmed by a cold solve.
+    """
+    senses = lp.senses[lp.num_rows - new_rows:]
+    if EQ in senses:
+        raise ValueError("only inequality rows can be re-optimized into a tableau")
+    sign = np.array([-1.0 if s == GE else 1.0 for s in senses])
+    alpha = sign[:, None] * lp.A[lp.num_rows - new_rows:]
+    beta = sign * lp.b[lp.num_rows - new_rows:]
+    try:
+        warm = reoptimize(parent, lp.objective, alpha, beta, tols)
+    except CycleLimitExceeded as exc:
+        reason = f"hit the pivot cap ({exc})"
+    else:
+        if warm.status == OPTIMAL:
+            return warm
+        reason = f"ended {warm.status}"
+    logger.warning("%s: warm re-optimization %s; solving cold", lp.name or "LP", reason)
+    return solve_lp(lp, tols=tols)
 
 
 # ---------------------------------------------------------------------------

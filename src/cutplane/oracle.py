@@ -4,11 +4,22 @@ This plays the role an off-the-shelf MILP solver would in a production setup:
 it supplies the integrality-gap denominator z*_int and certifies that cuts do
 not touch the integer optimum.  Correctness, not speed, is the contract; the
 search is best-first on the LP bound with most-fractional branching.
+
+The root relaxation is solved cold.  A child is its parent plus one bound
+row, so it is re-optimized by dual simplex from the parent's tableau
+(``lp.reoptimize``).  The heap stores each open node's optimal basis, not its
+tableau, which keeps memory at one basis per node.  When a node is popped,
+its tableau is rebuilt once by factorizing its standard form at that basis,
+and both children start from it.  A basis that does not refactorize, a warm
+solve that hits the pivot cap or ends other than optimal (a warm INFEASIBLE
+included) falls back to a cold solve with a WARNING, so numerical trouble can
+never prune the optimum.
 """
 
 from __future__ import annotations
 
 import heapq
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -23,11 +34,18 @@ from .lp import (
     OPTIMAL,
     UNBOUNDED,
     INFEASIBLE,
+    BasisError,
     CycleLimitExceeded,
     LinearProgram,
+    LpSolution,
     Tolerances,
+    factorize,
     solve_lp,
+    solve_warm,
+    to_standard_form,
 )
+
+logger = logging.getLogger(__name__)
 
 ILP_OPTIMAL = "optimal"
 ILP_INFEASIBLE = "infeasible"
@@ -76,6 +94,33 @@ def _check_integer_feasible(lp: LinearProgram, x: np.ndarray, ints_ok: bool = Tr
     return True
 
 
+def _solve_children(
+    parent_lp: LinearProgram,
+    basis: np.ndarray,
+    children: Sequence[LinearProgram],
+    tols: Tolerances,
+) -> list[Optional[LpSolution]]:
+    """Solve each child (``parent_lp`` plus one bound row) warm from ``basis``.
+
+    The parent's tableau is rebuilt once at ``basis``; if that fails, one
+    WARNING is logged and every child is solved cold.  ``None`` marks a child
+    whose cold solve hit the pivot cap.
+    """
+    try:
+        parent = factorize(to_standard_form(parent_lp), parent_lp.objective, basis, tols)
+    except BasisError as exc:
+        logger.warning("B&B node basis does not refactorize (%s); solving its children cold", exc)
+        parent = None
+    out = []
+    for child in children:
+        try:
+            out.append(solve_lp(child, tols=tols) if parent is None
+                       else solve_warm(child, parent, 1, tols))
+        except CycleLimitExceeded:
+            out.append(None)
+    return out
+
+
 def solve_ilp(
     lp: LinearProgram,
     node_limit: int = 1_000_000,
@@ -86,7 +131,8 @@ def solve_ilp(
 
     Branches on the most-fractional variable; when the objective vector is
     integral the LP bound is rounded up before pruning, which is what makes
-    exact optimality on integer-data instances cheap to certify.
+    exact optimality on integer-data instances cheap to certify.  Children
+    are re-optimized from their parent's basis (see the module docstring).
     """
     if node_limit < 1:
         raise ValueError("node_limit must be >= 1")
@@ -103,23 +149,28 @@ def solve_ilp(
     c_integral = np.all(np.abs(lp.objective - np.round(lp.objective)) < 1e-9)
     itol = tols.integrality
 
-    def relax_value(extra_rows, extra_rhs, extra_senses):
-        node_lp = LinearProgram(
+    def node_lp(bounds):
+        """``base`` plus one row ``x_j (sense) value`` per branching bound."""
+        if not bounds:
+            return base
+        E = np.zeros((len(bounds), lp.num_vars))
+        E[np.arange(len(bounds)), [j for j, _, _ in bounds]] = 1.0
+        return LinearProgram(
             objective=base.objective,
-            A=np.vstack([base.A] + extra_rows) if extra_rows else base.A,
-            b=np.concatenate([base.b, extra_rhs]) if extra_rows else base.b,
-            senses=list(base.senses) + extra_senses,
+            A=np.vstack([base.A, E]),
+            b=np.concatenate([base.b, [v for _, _, v in bounds]]),
+            senses=list(base.senses) + [s for _, s, _ in bounds],
+            name=base.name,
         )
-        try:
-            return solve_lp(node_lp, tols=tols)
-        except CycleLimitExceeded:
-            return None
 
     nodes = 0
     incumbent_x = None
     incumbent_val = None
 
-    root = relax_value([], [], [])
+    try:
+        root = solve_lp(base, tols=tols)
+    except CycleLimitExceeded:
+        root = None
     nodes += 1
     if root is None or root.status == INFEASIBLE:
         return IlpResult(ILP_INFEASIBLE, nodes_explored=nodes)
@@ -129,7 +180,7 @@ def solve_ilp(
     counter = 0
     heap = []
 
-    def push(sol, rows, rhs, senses):
+    def push(sol, bounds):
         nonlocal counter, incumbent_x, incumbent_val
         frac = np.abs(sol.x - np.round(sol.x))
         if np.max(frac, initial=0.0) <= itol:
@@ -141,12 +192,12 @@ def solve_ilp(
                     incumbent_x = xi.astype(np.int64)
             return
         counter += 1
-        heapq.heappush(heap, (sol.value, counter, sol.x.copy(), rows, rhs, senses))
+        heapq.heappush(heap, (sol.value, counter, sol.x.copy(), sol.tableau.basis.copy(), bounds))
 
-    push(root, [], [], [])
+    push(root, ())
     limit_hit = False
     while heap:
-        bound, _, x, rows, rhs, senses = heapq.heappop(heap)
+        bound, _, x, basis, bounds = heapq.heappop(heap)
         if incumbent_val is not None:
             eff = ceil_snap(bound, itol) if c_integral else bound
             if eff >= incumbent_val:
@@ -157,11 +208,10 @@ def solve_ilp(
         frac = np.abs(x - np.round(x))
         j = int(np.argmax(frac))
         v = x[j]
-        ej = np.zeros((1, lp.num_vars))
-        ej[0, j] = 1.0
-        for hi, bval in ((False, math.floor(v)), (True, math.ceil(v))):
-            sense = GE if hi else LE
-            child = relax_value(rows + [ej], np.concatenate([rhs, [float(bval)]]) if len(rhs) else np.array([float(bval)]), senses + [sense])
+        kids = (bounds + ((j, LE, float(math.floor(v))),),
+                bounds + ((j, GE, float(math.ceil(v))),))
+        sols = _solve_children(node_lp(bounds), basis, [node_lp(kid) for kid in kids], tols)
+        for kid, child in zip(kids, sols):
             nodes += 1
             if child is None or child.status != OPTIMAL:
                 continue
@@ -169,7 +219,7 @@ def solve_ilp(
                 eff = ceil_snap(child.value, itol) if c_integral else child.value
                 if eff >= incumbent_val:
                     continue
-            push(child, rows + [ej], np.concatenate([rhs, [float(bval)]]) if len(rhs) else np.array([float(bval)]), senses + [sense])
+            push(child, kid)
 
     if incumbent_x is None:
         if limit_hit:

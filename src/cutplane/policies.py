@@ -17,7 +17,7 @@ import numpy as np
 
 from .features import encode_many
 from .gomory import Cut, CutPool, apply_cuts
-from .lp import CycleLimitExceeded, OPTIMAL, solve_lp
+from .lp import FLOAT, CycleLimitExceeded, OPTIMAL, solve_lp, solve_warm
 from .model import MlpParams, forward
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,6 +39,10 @@ REMOVE_LOOKAHEAD = "remove-lookahead"
 REMOVE_NEURAL = "remove-neural"
 REMOVE_RANDOM = "remove-random"
 REMOVAL_KINDS = (REMOVE_LOOKAHEAD, REMOVE_NEURAL, REMOVE_RANDOM)
+
+# Look-ahead values within TIE_REL * (1 + |v|) of each other are equal: warm
+# and cold solves of one LP differ by about 1e-13, which must not pick a cut.
+TIE_REL = 1e-9
 
 
 class EmptyPool(ValueError):
@@ -75,10 +79,17 @@ class CutScorer:
         self._rng = np.random.default_rng(self.rng_seed)
 
 
-def _solve_value(lp, state) -> float:
-    """LP value of an augmented instance, or -inf on solver failure (logged)."""
+def _solve_value(lp, state, parent=None) -> float:
+    """LP value of an augmented instance, or -inf on solver failure (logged).
+
+    With ``parent``, the optimum of ``lp`` minus its last row, the value is
+    re-optimized from it (cold on fallback).
+    """
     try:
-        sol = solve_lp(lp, mode=state.arithmetic, tols=state.tols)
+        if parent is None:
+            sol = solve_lp(lp, mode=state.arithmetic, tols=state.tols)
+        else:
+            sol = solve_warm(lp, parent, 1, state.tols)
     except CycleLimitExceeded as exc:
         logger.warning("scoring LP hit the pivot cap: %s", exc)
         return -math.inf
@@ -89,23 +100,55 @@ def _solve_value(lp, state) -> float:
 
 
 def lookahead_add_scores(pool: CutPool, state: "CutPlaneState") -> np.ndarray:
-    """Score of a cut = LP value of (H u P_k u {cut}); one solve per cut."""
+    """Score of a cut = LP value of (H u P_k u {cut}); one LP per cut.
+
+    In float mode with ``state.solved`` set, each cut is re-optimized into
+    the tableau of (H u P_k); otherwise every LP is solved cold.
+    """
     base = apply_cuts(state.base, state.active_cuts)
-    return np.array([_solve_value(apply_cuts(base, [c]), state) for c in pool.cuts])
+    parent = None
+    if state.solved is not None and state.arithmetic == FLOAT:
+        parent = state.solved[1]
+    return np.array([_solve_value(apply_cuts(base, [c]), state, parent) for c in pool.cuts])
+
+
+def _basic_slack_mask(candidates: Sequence[Cut], state: "CutPlaneState") -> np.ndarray:
+    """Which candidates have their slack basic in ``state.solved``'s optimum.
+
+    Candidates are the rows after ``state.base``'s, in order.  All False when
+    the state carries no solution.
+    """
+    if state.solved is None:
+        return np.zeros(len(candidates), dtype=bool)
+    sf, sol = state.solved
+    first = state.base.num_rows
+    if sf.num_rows != first + len(candidates):
+        raise ValueError(f"solved LP has {sf.num_rows} rows, expected "
+                         f"{first} base rows plus {len(candidates)} candidates")
+    slack_of_row = {r: j for j, r in sf.row_of_slack.items()}
+    basic = set(sol.tableau.basis.tolist())
+    return np.array([slack_of_row.get(first + i) in basic for i in range(len(candidates))],
+                    dtype=bool)
 
 
 def lookahead_remove_scores(candidates: Sequence[Cut], state: "CutPlaneState") -> np.ndarray:
     """Leave-one-out value drop: full LP value minus the value without the cut.
 
-    The state must be solved over H u P_k u C_k; removing a constraint can only
-    lower a minimum, so scores are clamped at zero against float noise.
+    The state must be solved over H u P_k u C_k.  A candidate whose slack is
+    basic in that optimum scores exactly 0 without a solve: the optimum stays
+    optimal without its row.  The others are solved cold.  Removing a
+    constraint can only lower a minimum, so a drop within
+    ``TIE_REL * (1 + |full|)`` of zero (float noise) is stored as 0.
     """
     full = float(state.lp_value)
-    scores = np.empty(len(candidates))
-    for i in range(len(candidates)):
+    slack = _basic_slack_mask(candidates, state)
+    scores = np.zeros(len(candidates))
+    for i in np.flatnonzero(~slack):
         rest = [c for j, c in enumerate(candidates) if j != i]
         val = _solve_value(apply_cuts(state.base, rest), state)
-        scores[i] = -math.inf if val == -math.inf else max(0.0, full - val)
+        drop = full - val
+        scores[i] = -math.inf if val == -math.inf else (
+            drop if drop > TIE_REL * (1.0 + abs(full)) else 0.0)
     return scores
 
 
@@ -120,7 +163,10 @@ def select_addition(
     policy: AdditionPolicy,
     precomputed_scores: Optional[np.ndarray] = None,
 ) -> int:
-    """Pick one cut id from the pool; ties always break toward the lowest id."""
+    """Pick one cut id from the pool; ties always break toward the lowest id.
+
+    Look-ahead values within ``TIE_REL * (1 + |best|)`` of the best are ties.
+    """
     cuts = pool.cuts
     if not cuts:
         raise EmptyPool("cannot select from an empty cutpool")
@@ -146,16 +192,17 @@ def select_addition(
         scores = precomputed_scores
         if scores is None:
             scores = lookahead_add_scores(pool, state)
-        return _argbest(cuts, scores)
+        return _argbest(cuts, scores, TIE_REL)
     if kind == NEURAL:
         return _argbest(cuts, _neural_scores(cuts, state, policy.model))
     raise ValueError(f"unknown addition policy {kind!r}")
 
 
-def _argbest(cuts: Sequence[Cut], scores) -> int:
-    """argmax score with lowest-id tie break."""
-    best = max(range(len(cuts)), key=lambda i: (scores[i], -cuts[i].id))
-    return cuts[best].id
+def _argbest(cuts: Sequence[Cut], scores, rel_tol: float = 0.0) -> int:
+    """Lowest id among the cuts scoring within ``rel_tol * (1 + |best|)`` of the best."""
+    best = max(scores)
+    floor = best - rel_tol * (1.0 + abs(best)) if math.isfinite(best) else best
+    return min(c.id for c, s in zip(cuts, scores) if s >= floor)
 
 
 def score_candidates(candidates: Sequence[Cut], state: "CutPlaneState",

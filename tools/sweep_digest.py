@@ -1,12 +1,15 @@
-"""Print one sha256 per (family, preset, policy) of float-mode trajectory JSON.
+"""Print two sha256 per (family, preset, policy) of float-mode trajectory JSON.
 
     python3 tools/sweep_digest.py [--seed N]
 
 Runs every policy that needs no model on one instance of each family at the
-``tiny`` and ``small`` presets.  Two checkouts that print the same lines
+``tiny`` and ``small`` presets.  The first digest covers the whole
+trajectory; the second covers its decisions, the trajectory with every
+record's ``pool_scores`` removed.  Two checkouts that print the same lines
 produced byte-identical trajectories on this sweep, which is the check a
 refactor that must not change behaviour is held to: run it on both and diff
-the output.
+the output.  A change that recomputes look-ahead values to within rounding
+shows, through the second digest, that no decision moved.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ PRESETS = ("tiny", "small")
 POLICIES = [p for p in ADDITION_KINDS + REMOVAL_KINDS if p not in (NEURAL, REMOVE_NEURAL)]
 
 
+def _digest(doc: dict) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="instance and policy seed")
@@ -38,8 +45,11 @@ def main(argv=None) -> int:
             for policy in POLICIES:
                 traj = run_policy(lp, policy, RunConfig(seed=args.seed, record_scores=True),
                                   instance_id=spec.instance_id)
-                blob = json.dumps(trajectory_to_dict(traj), sort_keys=True).encode()
-                print(f"{family} {preset} {policy} {hashlib.sha256(blob).hexdigest()}")
+                doc = trajectory_to_dict(traj)
+                full = _digest(doc)
+                for rec in doc["records"]:
+                    del rec["pool_scores"]
+                print(f"{family} {preset} {policy} {full} {_digest(doc)}")
     return 0
 
 
