@@ -53,7 +53,6 @@ TRAJECTORY_FORMAT_VERSION = 1
 @dataclass
 class RunConfig:
     max_iters: int = 30
-    mode: str = ADD_ONLY
     integrality_tol: float = 1e-6
     arithmetic: str = FLOAT
     seed: int = 0
@@ -63,8 +62,6 @@ class RunConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.mode not in (ADD_ONLY, REMOVAL):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
@@ -253,18 +250,11 @@ def run_policy(lp: LinearProgram, policy_name: str, cfg: RunConfig,
     seed = cfg.seed
     if policy_name in _policies.ADDITION_KINDS:
         pol = _policies.AdditionPolicy(policy_name, rng_seed=seed, model=model)
-        run_cfg = cfg if cfg.mode == ADD_ONLY else _with_mode(cfg, ADD_ONLY)
-        return run_add_only(lp, pol, run_cfg, instance_id)
+        return run_add_only(lp, pol, cfg, instance_id)
     if policy_name in _policies.REMOVAL_KINDS:
         scorer = _policies.CutScorer(policy_name, rng_seed=seed, model=model)
-        run_cfg = cfg if cfg.mode == REMOVAL else _with_mode(cfg, REMOVAL)
-        return run_removal(lp, scorer, run_cfg, instance_id)
+        return run_removal(lp, scorer, cfg, instance_id)
     raise ValueError(f"unknown policy {policy_name!r}")
-
-
-def _with_mode(cfg: RunConfig, mode: str) -> RunConfig:
-    return RunConfig(cfg.max_iters, mode, cfg.integrality_tol, cfg.arithmetic,
-                     cfg.seed, cfg.tols, cfg.record_scores)
 
 
 def compute_igc(traj: Trajectory, z_int: float) -> np.ndarray:

@@ -17,7 +17,6 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -30,6 +29,8 @@ from .lp import (
     OPTIMAL,
     StandardForm,
     Tolerances,
+    dist_to_int,
+    to_fractions,
 )
 
 logger = logging.getLogger(__name__)
@@ -84,16 +85,6 @@ class CutPool:
 SNAP_LIMIT = 2.0 ** 53
 
 
-def _gcd_reduce(alpha: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    """Divide an all-integer cut by the common factor of its coefficients."""
-    ints = np.abs(alpha.astype(np.int64))
-    g = np.gcd.reduce(ints) if ints.size else 0
-    g = math.gcd(int(g), abs(int(round(beta))))
-    if g > 1:
-        return alpha / g, beta / g
-    return alpha, beta
-
-
 def generate_cutpool(
     sol: LpSolution,
     sf: StandardForm,
@@ -109,23 +100,23 @@ def generate_cutpool(
     numerically zero, or stops separating the fractional optimum after integer
     snapping, are skipped and logged.  A cut kept with non-integral or
     too-large coefficients (at or above ``SNAP_LIMIT``) is logged as a warning.
+    An exact tableau derives each cut in ``Fraction`` arithmetic; the float
+    cut it converts to then goes through the same snapping and checks.
     """
     if sol.status != OPTIMAL or sol.tableau is None:
         raise ValueError("cut generation requires an optimal solution with a tableau")
     ids = id_counter if id_counter is not None else itertools.count()
     tab = sol.tableau
-    if tab.exact:
-        return _generate_exact(sol, sf, lp, tol, ids, born_iter, tols)
-
     n = sf.num_vars
     L, v = tab.matrix, tab.rhs
-    frac_dist = np.abs(v - np.round(v))
+    frac_dist = dist_to_int(v)
     rows = np.nonzero(frac_dist > tol)[0]
     cuts: list[Cut] = []
     if rows.size == 0:
         return CutPool(cuts, born_iter)
 
-    # One Gomory row per fractional basic value, all rows at once.
+    # One Gomory row per fractional basic value, all rows at once, in the
+    # tableau's arithmetic; an exact cut is converted to float once derived.
     Lr = L[rows]
     G = np.floor(Lr) - Lr
     alpha = G[:, :n].copy()
@@ -133,10 +124,16 @@ def generate_cutpool(
     if sf.row_of_slack:
         slack_cols = sorted(sf.row_of_slack)
         src_rows = [sf.row_of_slack[j] for j in slack_cols]
+        A_src, b_src = sf.aug[src_rows, :n], sf.rhs[src_rows]
+        if tab.exact:
+            A_src, b_src = to_fractions(A_src), to_fractions(b_src)
         R = G[:, slack_cols]
-        alpha -= R @ sf.aug[src_rows, :n]
-        beta -= R @ sf.rhs[src_rows]
-    alpha[np.abs(alpha) < tols.pivot_zero] = 0.0
+        alpha -= R @ A_src
+        beta -= R @ b_src
+    if tab.exact:
+        alpha, beta = alpha.astype(float), beta.astype(float)
+    else:  # float noise; an exact coefficient is never noise
+        alpha[np.abs(alpha) < tols.pivot_zero] = 0.0
 
     # Snap rows that are integral to within 1e-6, then divide out their common
     # factor.  "+ 0.0" stores a zero right-hand side as +0.0, never -0.0.
@@ -179,56 +176,6 @@ def generate_cutpool(
             basic_var=int(tab.basis[i]),
             row_norm=math.sqrt(L[i].dot(L[i])),  # what np.linalg.norm computes
             frac_dist=float(frac_dist[i]),
-        ))
-    return CutPool(cuts, born_iter)
-
-
-def _generate_exact(sol, sf, lp, tol, ids, born_iter, tols):
-    """Fraction-valued tableau: floors are exact, cuts come out exactly integer
-    whenever every constraint row carries a slack."""
-    n = sf.num_vars
-    tab = sol.tableau
-    L, v = tab.matrix, tab.rhs
-    slack_cols = sorted(sf.row_of_slack)
-    src_rows = [sf.row_of_slack[j] for j in slack_cols]
-    cuts: list[Cut] = []
-    x = sol.x
-    for i in range(L.shape[0]):
-        vi = v[i]
-        f = vi - math.floor(vi)
-        if min(f, 1 - f) <= tol:
-            continue
-        row = L[i]
-        g = [math.floor(val) - val for val in row]
-        g0 = Fraction(math.floor(vi)) - vi
-        alpha = [g[j] for j in range(n)]
-        beta = g0
-        for col, src in zip(slack_cols, src_rows):
-            r = g[col]
-            if r:
-                for j in range(n):
-                    alpha[j] -= r * Fraction(float(sf.aug[src, j]))
-                beta -= r * Fraction(float(sf.rhs[src]))
-        alpha_f = np.array([float(a) for a in alpha])
-        beta_f = float(beta)
-        if all(a.denominator == 1 for a in alpha) and beta.denominator == 1:
-            alpha_f, beta_f = _gcd_reduce(np.round(alpha_f), float(round(beta_f)))
-        if not np.any(alpha_f):
-            continue
-        xf = np.array([float(val) for val in x])
-        violation = float(alpha_f @ xf) - beta_f
-        if violation <= tols.feasibility:
-            continue
-        row_norm = math.sqrt(float(sum((val * val for val in row), Fraction(0))))
-        cuts.append(Cut(
-            alpha=alpha_f,
-            beta=beta_f,
-            id=next(ids),
-            born_iter=born_iter,
-            kind=GOMORY,
-            basic_var=int(tab.basis[i]),
-            row_norm=row_norm,
-            frac_dist=float(min(f, 1 - f)),
         ))
     return CutPool(cuts, born_iter)
 

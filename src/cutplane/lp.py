@@ -3,9 +3,12 @@
 The solver is deliberately simple: dense tableau, Dantzig pricing with a Bland
 fallback once pivots stop improving, and no presolve.  What matters here is that
 the *final optimal tableau* is exposed, because Gomory cuts are read directly
-from its rows.  Two arithmetic modes are supported: float64 (default) and exact
-rationals via ``fractions.Fraction`` (the correctness oracle for the float path,
-and the safe mode for tolerance-sensitive cut generation).
+from its rows.  One solver serves two arithmetics, chosen by the tableau's
+dtype: float64 (the default), and numpy object arrays of exact
+``fractions.Fraction`` (``mode=RATIONAL``), where every tolerance of the pivot
+rules is exactly 0.  Exact mode checks the arithmetic of the float path, since
+both run the same pivot rules; brute-force vertex enumeration and HiGHS are the
+independent checks of the algorithm itself.
 
 Most LPs the package solves are an LP it has just solved plus a few rows: a
 pool cut for look-ahead scoring, a bound row for a branch-and-bound child.
@@ -21,8 +24,7 @@ that logs a WARNING with its reason.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -154,14 +156,18 @@ class SimplexTableau:
 
     ``basis[i]`` is the column basic in row i, ``rhs[i]`` its value; columns
     indexed by ``basis`` form an identity (exactly, by construction of the
-    pivot updates).  ``exact`` marks Fraction-valued tableaus.
+    pivot updates).  The arrays are float64, or object arrays of ``Fraction``
+    for an exact tableau (``mode=RATIONAL``).
     """
 
     basis: np.ndarray
     matrix: np.ndarray
     rhs: np.ndarray
     reduced_costs: np.ndarray
-    exact: bool = False
+
+    @property
+    def exact(self) -> bool:
+        return self.matrix.dtype == object
 
 
 @dataclass
@@ -192,15 +198,25 @@ def is_integral(x, tol: float = 1e-6) -> bool:
     if tol <= 0:
         raise ValueError("tol must be positive")
     arr = np.asarray(x)
-    if arr.dtype == object:  # Fractions
-        for v in arr.ravel():
-            f = v - math.floor(v)
-            if min(f, 1 - f) > tol:
-                return False
-        return True
     if arr.size == 0:
         return True
-    return bool(np.max(np.abs(arr - np.round(arr))) <= tol)
+    return bool(dist_to_int(arr).max() <= tol)
+
+
+def dist_to_int(v: np.ndarray) -> np.ndarray:
+    """Distance of each entry to its nearest integer, in ``v``'s arithmetic.
+
+    ``np.floor`` has a loop for ``Fraction`` objects and ``np.round`` has none;
+    for float entries at or above 0 the result equals ``|v - round(v)|``.
+    """
+    f = v - np.floor(v)
+    return np.minimum(f, 1 - f)
+
+
+def to_fractions(a) -> np.ndarray:
+    """``a`` as an object array of exact ``Fraction(float(v))`` entries."""
+    a = np.asarray(a, dtype=float)
+    return np.array([Fraction(v) for v in a.ravel().tolist()], dtype=object).reshape(a.shape)
 
 
 def solve_simplex(
@@ -211,18 +227,22 @@ def solve_simplex(
 ) -> LpSolution:
     """Two-phase primal simplex on a standard form.
 
-    Raises :class:`CycleLimitExceeded` when pivots exceed 50*(rows+cols); after
-    5*(rows+cols) non-improving pivots the pricing rule switches from Dantzig
-    to Bland, which guarantees termination short of numerical breakdown.
+    ``mode=RATIONAL`` converts the standard form and the objective to
+    ``Fraction`` once and runs the same pivots exactly; the solution then holds
+    ``Fraction`` values.  Raises :class:`CycleLimitExceeded` when pivots exceed
+    50*(rows+cols); after 5*(rows+cols) non-improving pivots the pricing rule
+    switches from Dantzig to Bland, which guarantees termination short of
+    numerical breakdown.
     """
     c = np.asarray(objective, dtype=float)
     if c.shape[0] != sf.num_vars:
         raise ValueError("objective length does not match the number of original variables")
-    if mode == FLOAT:
-        return _solve_float(sf, c, tols)
     if mode == RATIONAL:
-        return _solve_exact(sf, c, tols)
-    raise ValueError(f"unknown arithmetic mode: {mode!r}")
+        sf = replace(sf, aug=to_fractions(sf.aug), rhs=to_fractions(sf.rhs))
+        c = to_fractions(c)
+    elif mode != FLOAT:
+        raise ValueError(f"unknown arithmetic mode: {mode!r}")
+    return _two_phase(sf, c, tols)
 
 
 def solve_lp(lp: LinearProgram, mode: str = FLOAT, tols: Tolerances = DEFAULT_TOLS) -> LpSolution:
@@ -231,27 +251,43 @@ def solve_lp(lp: LinearProgram, mode: str = FLOAT, tols: Tolerances = DEFAULT_TO
 
 
 # ---------------------------------------------------------------------------
-# float64 path
+# the two-phase simplex, in float64 or in exact Fraction arithmetic
 # ---------------------------------------------------------------------------
 
 
-def _pivot_float(T: np.ndarray, row: int, col: int, buf: np.ndarray) -> None:
-    """Pivot T on (row, col) in place; ``buf`` is scratch space of T's shape."""
-    piv = T[row, col]
-    pr = T[row] / piv
+def _zeros(shape, dtype) -> np.ndarray:
+    """Zeros in the arithmetic of ``dtype``: ``Fraction(0)`` for an object array."""
+    return np.full(shape, Fraction(0)) if dtype == object else np.zeros(shape)
+
+
+def _margins(T: np.ndarray, tols: Tolerances) -> tuple:
+    """(pivot_zero, feasibility, ratio-tie, improvement) margins of T's arithmetic.
+
+    An exact (object) tableau compares exactly, so all four are 0.
+    """
+    if T.dtype == object:
+        return 0, 0, 0, 0
+    return tols.pivot_zero, tols.feasibility, 1e-9, 1e-12
+
+
+def _pivot(T: np.ndarray, row: int, col: int, buf: np.ndarray) -> None:
+    """Pivot T on (row, col) in place; ``buf`` is scratch space of T's shape.
+
+    The entering column comes out an exact unit vector in either arithmetic:
+    its pivot-row entry is piv / piv, exactly 1, and every other row
+    subtracts exactly its own entry, which leaves +0.
+    """
+    pr = T[row] / T[row, col]
     colv = T[:, col].copy()
-    colv[row] = 0.0
+    colv[row] = 0
     np.multiply(colv[:, None], pr, out=buf)
     T -= buf
     T[row] = pr
-    # Reset the entering column exactly; keeps basis columns exact unit vectors.
-    T[:, col] = 0.0
-    T[row, col] = 1.0
 
 
-def _run_pivots_float(T, basis, m, tols, bland_after, cycle_cap):
+def _run_pivots(T, basis, m, tols, bland_after, cycle_cap):
     """Minimize; last row of T holds reduced costs, T[m, -1] == -objective."""
-    ptol = tols.pivot_zero
+    ptol, _, tie, improve = _margins(T, tols)
     nonimp = 0
     bland = False
     pivots = 0
@@ -271,17 +307,17 @@ def _run_pivots_float(T, basis, m, tols, bland_after, cycle_cap):
         pos = (col > ptol).nonzero()[0]
         if pos.size == 0:
             return UNBOUNDED
-        ratios = np.maximum(T[pos, -1], 0.0) / col[pos]
+        ratios = np.maximum(T[pos, -1], 0) / col[pos]
         best = ratios.min()
-        ties = pos[ratios <= best + 1e-9 * (1.0 + abs(best))]
+        ties = pos[ratios <= best + tie * (1 + abs(best))]
         i = int(ties[0]) if ties.size == 1 else int(ties[basis[ties].argmin()])
         before = T[m, -1]
-        _pivot_float(T, i, j, buf)
+        _pivot(T, i, j, buf)
         basis[i] = j
         pivots += 1
         if pivots > cycle_cap:
             raise CycleLimitExceeded(f"exceeded {cycle_cap} pivots")
-        if T[m, -1] > before + 1e-12:
+        if T[m, -1] > before + improve:
             nonimp = 0
         else:
             nonimp += 1
@@ -289,23 +325,15 @@ def _run_pivots_float(T, basis, m, tols, bland_after, cycle_cap):
                 bland = True
 
 
-def _solve_float(sf: StandardForm, c: np.ndarray, tols: Tolerances) -> LpSolution:
+def _two_phase(sf: StandardForm, c: np.ndarray, tols: Tolerances) -> LpSolution:
     m, width = sf.aug.shape
     n = sf.num_vars
-    if m == 0:
-        if np.any(c < -tols.pivot_zero):
-            return LpSolution(UNBOUNDED)
-        tab = SimplexTableau(
-            basis=np.empty(0, dtype=int), matrix=np.empty((0, width)),
-            rhs=np.empty(0), reduced_costs=c.copy(),
-        )
-        return LpSolution(OPTIMAL, x=np.zeros(n), value=0.0, tableau=tab)
-
+    dtype = sf.aug.dtype
     work = sf.aug.copy()
     rhs = sf.rhs.copy()
     flip = rhs < 0
-    work[flip] *= -1.0
-    rhs[flip] *= -1.0
+    work[flip] *= -1
+    rhs[flip] *= -1
 
     slack_of_row = {r: j for j, r in sf.row_of_slack.items()}
     basis = np.full(m, -1, dtype=int)
@@ -319,30 +347,33 @@ def _solve_float(sf: StandardForm, c: np.ndarray, tols: Tolerances) -> LpSolutio
     cycle_cap = 50 * (m + width + n_art)
 
     if n_art:
-        T = np.zeros((m + 1, width + n_art + 1))
+        T = _zeros((m + 1, width + n_art + 1), dtype)
         T[:m, :width] = work
         T[:m, -1] = rhs
         for a, i in enumerate(art_rows):
-            T[i, width + a] = 1.0
+            T[i, width + a] = 1
             basis[i] = width + a
         T[m] = -T[art_rows].sum(axis=0)
-        T[m, width:width + n_art] = 0.0
-        status = _run_pivots_float(T, basis, m, tols, bland_after, cycle_cap)
+        T[m, width:width + n_art] = 0
+        status = _run_pivots(T, basis, m, tols, bland_after, cycle_cap)
         if status != OPTIMAL:
             raise CycleLimitExceeded("phase 1 became unbounded; numerical breakdown")
-        if -T[m, -1] > tols.feasibility:
+        ptol, feasibility, _, _ = _margins(T, tols)
+        if -T[m, -1] > feasibility:
             return LpSolution(INFEASIBLE)
+        # Drive each artificial still basic (at zero level) out on the largest
+        # |entry| of its row; a row with no nonzero entry is redundant.
         drop = []
         buf = np.empty_like(T)
         for i in range(m):
             if basis[i] >= width:
                 row = T[i, :width]
-                cand = np.nonzero(np.abs(row) > tols.pivot_zero)[0]
+                cand = np.nonzero(np.abs(row) > ptol)[0]
                 if cand.size == 0:
-                    drop.append(i)  # redundant row
+                    drop.append(i)
                 else:
                     j = int(cand[np.argmax(np.abs(row[cand]))])
-                    _pivot_float(T, i, j, buf)
+                    _pivot(T, i, j, buf)
                     basis[i] = j
         if drop:
             keep = [i for i in range(m) if i not in drop]
@@ -351,29 +382,31 @@ def _solve_float(sf: StandardForm, c: np.ndarray, tols: Tolerances) -> LpSolutio
             m = len(keep)
         T = np.hstack([T[:, :width], T[:, -1:]])
     else:
-        T = np.zeros((m + 1, width + 1))
+        T = _zeros((m + 1, width + 1), dtype)
         T[:m, :width] = work
         T[:m, -1] = rhs
 
-    cx = np.zeros(width)
+    cx = _zeros(width + 1, dtype)
     cx[:n] = c
-    T[m, :width] = cx
-    T[m, -1] = 0.0
+    T[m] = cx
     for i in range(m):
         cb = cx[basis[i]]
-        if cb != 0.0:
+        if cb != 0:
             T[m] -= cb * T[i]
-    status = _run_pivots_float(T, basis, m, tols, bland_after, cycle_cap)
+    status = _run_pivots(T, basis, m, tols, bland_after, cycle_cap)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED)
-    return _float_solution(T, basis, m, c)
+    return _optimal_solution(T, basis, m, c)
 
 
-def _float_solution(T: np.ndarray, basis: np.ndarray, m: int, c: np.ndarray) -> LpSolution:
-    """The optimal solution held by a final tableau (reduced costs in row m)."""
+def _optimal_solution(T: np.ndarray, basis: np.ndarray, m: int, c: np.ndarray) -> LpSolution:
+    """The optimal solution held by a final tableau (reduced costs in row m).
+
+    An exact tableau gives ``Fraction`` values of x and of the objective.
+    """
     width = T.shape[1] - 1
-    xfull = np.zeros(width)
-    xfull[basis] = np.maximum(T[:m, -1], 0.0)
+    xfull = _zeros(width, T.dtype)
+    xfull[basis] = np.maximum(T[:m, -1], 0)
     x = xfull[:c.shape[0]]
     tab = SimplexTableau(
         basis=basis.copy(),
@@ -381,7 +414,8 @@ def _float_solution(T: np.ndarray, basis: np.ndarray, m: int, c: np.ndarray) -> 
         rhs=T[:m, -1].copy(),
         reduced_costs=T[m, :width].copy(),
     )
-    return LpSolution(OPTIMAL, x=x, value=float(c @ x), tableau=tab)
+    value = c @ x
+    return LpSolution(OPTIMAL, x=x, value=value if tab.exact else float(value), tableau=tab)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +442,7 @@ def _dual_pivots_float(T, basis, m, tols, cycle_cap):
         best = ratios.min()
         ties = neg[ratios <= best + 1e-9 * (1.0 + abs(best))]
         j = int(ties[0]) if ties.size == 1 else int(ties[np.abs(row[ties]).argmax()])
-        _pivot_float(T, i, j, buf)
+        _pivot(T, i, j, buf)
         basis[i] = j
         pivots += 1
         if pivots > cycle_cap:
@@ -460,10 +494,10 @@ def reoptimize(
     cap = REOPT_CAP_FACTOR * (mk + width + k)
     status = _dual_pivots_float(T, basis, mk, tols, cap)
     if status == OPTIMAL:
-        status = _run_pivots_float(T, basis, mk, tols, cap // 10, cap)
+        status = _run_pivots(T, basis, mk, tols, cap // 10, cap)
     if status != OPTIMAL:
         return LpSolution(status)
-    return _float_solution(T, basis, mk, c)
+    return _optimal_solution(T, basis, mk, c)
 
 
 def factorize(
@@ -504,7 +538,7 @@ def factorize(
         raise BasisError("basis is not primal feasible")
     if T[m, :width].min(initial=0.0) < -tols.pivot_zero:
         raise BasisError("basis is not dual feasible")
-    return _float_solution(T, basis, m, c)
+    return _optimal_solution(T, basis, m, c)
 
 
 def solve_warm(
@@ -517,8 +551,10 @@ def solve_warm(
 
     The rows (``<=`` or ``>=``, which is negated as ``to_standard_form``
     does) are re-optimized into ``parent``'s tableau.  On the pivot cap or
-    any status but OPTIMAL, a WARNING gives the reason and ``lp`` is solved
-    cold, so a warm INFEASIBLE is always confirmed by a cold solve.
+    any status but OPTIMAL, ``lp`` is solved cold.  A warm INFEASIBLE is thus
+    always confirmed by a cold solve: at DEBUG when the cold solve agrees,
+    with a WARNING naming both statuses when it does not.  The pivot cap and
+    any other status log a WARNING with the reason.
     """
     senses = lp.senses[lp.num_rows - new_rows:]
     if EQ in senses:
@@ -526,6 +562,7 @@ def solve_warm(
     sign = np.array([-1.0 if s == GE else 1.0 for s in senses])
     alpha = sign[:, None] * lp.A[lp.num_rows - new_rows:]
     beta = sign * lp.b[lp.num_rows - new_rows:]
+    name = lp.name or "LP"
     try:
         warm = reoptimize(parent, lp.objective, alpha, beta, tols)
     except CycleLimitExceeded as exc:
@@ -533,173 +570,14 @@ def solve_warm(
     else:
         if warm.status == OPTIMAL:
             return warm
+        if warm.status == INFEASIBLE:
+            cold = solve_lp(lp, tols=tols)
+            if cold.status == INFEASIBLE:
+                logger.debug("%s: warm re-optimization ended infeasible; confirmed cold", name)
+            else:
+                logger.warning("%s: warm re-optimization ended infeasible, but the cold "
+                               "solve ended %s", name, cold.status)
+            return cold
         reason = f"ended {warm.status}"
-    logger.warning("%s: warm re-optimization %s; solving cold", lp.name or "LP", reason)
+    logger.warning("%s: warm re-optimization %s; solving cold", name, reason)
     return solve_lp(lp, tols=tols)
-
-
-# ---------------------------------------------------------------------------
-# exact rational path
-# ---------------------------------------------------------------------------
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
-def _pivot_exact(T: list[list[Fraction]], row: int, col: int) -> None:
-    piv = T[row][col]
-    prow = [v / piv for v in T[row]]
-    T[row] = prow
-    for i, r in enumerate(T):
-        if i == row:
-            continue
-        f = r[col]
-        if f:
-            T[i] = [a - f * b for a, b in zip(r, prow)]
-
-
-def _run_pivots_exact(T, basis, m, bland_after, cycle_cap):
-    nonimp = 0
-    bland = False
-    pivots = 0
-    width = len(T[0]) - 1
-    while True:
-        r = T[m]
-        j = -1
-        if bland:
-            for jj in range(width):
-                if r[jj] < 0:
-                    j = jj
-                    break
-            if j < 0:
-                return OPTIMAL
-        else:
-            best = _F0
-            for jj in range(width):
-                if r[jj] < best:
-                    best = r[jj]
-                    j = jj
-            if j < 0:
-                return OPTIMAL
-        best_ratio = None
-        leave = -1
-        for i in range(m):
-            a = T[i][j]
-            if a > 0:
-                ratio = (T[i][-1] if T[i][-1] > 0 else _F0) / a
-                if (best_ratio is None or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[leave])):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
-            return UNBOUNDED
-        before = T[m][-1]
-        _pivot_exact(T, leave, j)
-        basis[leave] = j
-        pivots += 1
-        if pivots > cycle_cap:
-            raise CycleLimitExceeded(f"exceeded {cycle_cap} pivots (exact mode)")
-        if T[m][-1] > before:
-            nonimp = 0
-        else:
-            nonimp += 1
-            if nonimp > bland_after:
-                bland = True
-
-
-def _solve_exact(sf: StandardForm, c: np.ndarray, tols: Tolerances) -> LpSolution:
-    m, width = sf.aug.shape
-    n = sf.num_vars
-    cf = [Fraction(float(v)) for v in c]
-    if m == 0:
-        if any(v < 0 for v in cf):
-            return LpSolution(UNBOUNDED)
-        tab = SimplexTableau(
-            basis=np.empty(0, dtype=int),
-            matrix=np.empty((0, width), dtype=object),
-            rhs=np.empty(0, dtype=object),
-            reduced_costs=np.array(cf, dtype=object),
-            exact=True,
-        )
-        x = np.array([_F0] * n, dtype=object)
-        return LpSolution(OPTIMAL, x=x, value=_F0, tableau=tab)
-
-    work = [[Fraction(float(v)) for v in row] for row in sf.aug]
-    rhs = [Fraction(float(v)) for v in sf.rhs]
-    flip = [r < 0 for r in rhs]
-    for i in range(m):
-        if flip[i]:
-            work[i] = [-v for v in work[i]]
-            rhs[i] = -rhs[i]
-
-    slack_of_row = {r: j for j, r in sf.row_of_slack.items()}
-    basis = [-1] * m
-    for i in range(m):
-        j = slack_of_row.get(i)
-        if j is not None and not flip[i]:
-            basis[i] = j
-    art_rows = [i for i in range(m) if basis[i] < 0]
-    n_art = len(art_rows)
-    bland_after = 5 * (m + width + n_art)
-    cycle_cap = 50 * (m + width + n_art)
-
-    if n_art:
-        wtot = width + n_art
-        T = [row + [_F0] * n_art + [rhs[i]] for i, row in enumerate(work)]
-        for a, i in enumerate(art_rows):
-            T[i][width + a] = _F1
-            basis[i] = width + a
-        cost = [_F0] * (wtot + 1)
-        for i in art_rows:
-            cost = [a - b for a, b in zip(cost, T[i])]
-        for a in range(n_art):
-            cost[width + a] = _F0
-        T.append(cost)
-        status = _run_pivots_exact(T, basis, m, bland_after, cycle_cap)
-        if status != OPTIMAL:
-            raise CycleLimitExceeded("phase 1 became unbounded (exact mode)")
-        if -T[m][-1] > 0:
-            return LpSolution(INFEASIBLE)
-        drop = []
-        for i in range(m):
-            if basis[i] >= width:
-                j = next((jj for jj in range(width) if T[i][jj] != 0), None)
-                if j is None:
-                    drop.append(i)
-                else:
-                    _pivot_exact(T, i, j)
-                    basis[i] = j
-        if drop:
-            keep = [i for i in range(m) if i not in drop]
-            T = [T[i] for i in keep] + [T[m]]
-            basis = [basis[i] for i in keep]
-            m = len(keep)
-        T = [row[:width] + [row[-1]] for row in T]
-    else:
-        T = [row + [rhs[i]] for i, row in enumerate(work)]
-        T.append([_F0] * (width + 1))
-
-    cx = cf + [_F0] * (width - n)
-    cost = list(cx) + [_F0]
-    for i in range(m):
-        cb = cx[basis[i]]
-        if cb:
-            cost = [a - cb * b for a, b in zip(cost, T[i])]
-    T[m] = cost
-    status = _run_pivots_exact(T, basis, m, bland_after, cycle_cap)
-    if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED)
-
-    xfull = [_F0] * width
-    for i in range(m):
-        xfull[basis[i]] = T[i][-1]
-    x = np.array(xfull[:n], dtype=object)
-    value = sum((a * b for a, b in zip(cf, xfull[:n])), _F0)
-    tab = SimplexTableau(
-        basis=np.array(basis, dtype=int),
-        matrix=np.array([row[:width] for row in T[:m]], dtype=object),
-        rhs=np.array([T[i][-1] for i in range(m)], dtype=object),
-        reduced_costs=np.array(T[m][:width], dtype=object),
-        exact=True,
-    )
-    return LpSolution(OPTIMAL, x=x, value=value, tableau=tab)

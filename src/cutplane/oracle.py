@@ -65,15 +65,18 @@ class IlpResult:
     proven: bool = True
 
 
-def _check_integer_feasible(lp: LinearProgram, x: np.ndarray, ints_ok: bool = True) -> bool:
+def _check_integer_feasible(lp: LinearProgram, x: np.ndarray) -> bool:
     """Exact feasibility check of an integer point (integer arithmetic when data is integral)."""
     xi = np.round(x).astype(np.int64)
     if np.any(xi < 0):
         return False
     A = np.round(lp.A).astype(np.int64)
     b = np.round(lp.b).astype(np.int64)
-    if ints_ok and (np.max(np.abs(lp.A - A)) > 0 or (len(lp.b) and np.max(np.abs(lp.b - b)) > 0)):
-        # Non-integer data: fall back to a float check with tolerance.
+    if np.max(np.abs(lp.A - A)) > 0 or (len(lp.b) and np.max(np.abs(lp.b - b)) > 0):
+        # Non-integer data, which generators never emit but an LP augmented
+        # with cuts can hold: solve_ilp also receives H u P_k, and a cut that
+        # generate_cutpool kept unsnapped (logged as a WARNING) has non-integer
+        # coefficients.  Check with a float tolerance instead.
         lhs = lp.A @ x
         for i, s in enumerate(lp.senses):
             if s == LE and lhs[i] > lp.b[i] + 1e-7:

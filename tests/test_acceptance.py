@@ -18,7 +18,6 @@ from cutplane.cli import aggregate_distribution, main as cli_main, pool_metrics
 from cutplane.engine import (
     INTEGRAL_FOUND,
     NUMERICAL_FAILURE,
-    REMOVAL,
     RunConfig,
     compute_igc,
     extend_curve,
@@ -65,7 +64,7 @@ def _pmap(fn, items):
 def _tiny_removal_traj(item):
     family, seed, scorer = item
     lp = generate(InstanceSpec(family, "tiny", seed=seed))
-    cfg = RunConfig(max_iters=8, mode=REMOVAL, seed=seed)
+    cfg = RunConfig(max_iters=8, seed=seed)
     return family, seed, run_policy(lp, scorer, cfg, instance_id=f"{family}-{seed}")
 
 

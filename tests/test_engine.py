@@ -1,5 +1,7 @@
 """Cutting-plane loops: termination, monotonicity, budget bookkeeping, IGC."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,11 @@ from cutplane.engine import (
     trajectory_from_dict,
     trajectory_to_dict,
 )
-from cutplane.gomory import BOUND, apply_cuts, ceil_snap
-from cutplane.lp import LE, LinearProgram, solve_lp
-from cutplane.oracle import solve_ilp
+from cutplane import engine
+from cutplane.gomory import BOUND, apply_cuts, ceil_snap, validate_cut
+from cutplane.instances import InstanceSpec, generate
+from cutplane.lp import LE, RATIONAL, LinearProgram, solve_lp
+from cutplane.oracle import enumerate_integer_points, integer_box, solve_ilp
 from cutplane.policies import AdditionPolicy, CutScorer
 
 
@@ -73,7 +77,7 @@ def test_add_only_lp_values_nondecreasing(policy):
 def test_removal_budget_bookkeeping():
     """|P_1| = 0 and |P_{k+1}| = min(k+1, |P_k u C_k|) + 1 (retained plus bound cut)."""
     lp = packing_lp(3)
-    traj = run_removal(lp, CutScorer("remove-random", rng_seed=0), RunConfig(max_iters=8, mode=REMOVAL))
+    traj = run_removal(lp, CutScorer("remove-random", rng_seed=0), RunConfig(max_iters=8))
     recs = traj.records
     assert recs[0].n_active == 0
     for prev, cur in zip(recs, recs[1:]):
@@ -85,7 +89,7 @@ def test_removal_pool_of_five_keeps_three():
     """At k=1 with a pool of >= 2 cuts, the next active set is 2 retained + 1 bound."""
     for seed in range(12):
         lp = packing_lp(seed)
-        traj = run_removal(lp, CutScorer("remove-lookahead"), RunConfig(max_iters=2, mode=REMOVAL))
+        traj = run_removal(lp, CutScorer("remove-lookahead"), RunConfig(max_iters=2))
         if traj.records and traj.records[0].pool_size >= 2 and len(traj.records) >= 2:
             assert traj.records[1].n_active == 3
             return
@@ -94,7 +98,7 @@ def test_removal_pool_of_five_keeps_three():
 
 def test_removal_lp_values_respect_bound_cut():
     lp = packing_lp(1)
-    traj = run_removal(lp, CutScorer("remove-lookahead"), RunConfig(max_iters=8, mode=REMOVAL))
+    traj = run_removal(lp, CutScorer("remove-lookahead"), RunConfig(max_iters=8))
     v = traj.lp_values
     assert np.all(np.diff(v) >= -1e-7)
     for prev, cur in zip(v, v[1:]):
@@ -104,7 +108,7 @@ def test_removal_lp_values_respect_bound_cut():
 def test_removal_preserves_integer_optimum():
     lp = two_var_lp()
     base = solve_ilp(lp)
-    traj = run_removal(lp, CutScorer("remove-lookahead"), RunConfig(max_iters=6, mode=REMOVAL))
+    traj = run_removal(lp, CutScorer("remove-lookahead"), RunConfig(max_iters=6))
     for rec in traj.records:
         active = [traj.cuts[i] for i in rec.active_ids]
         res = solve_ilp(apply_cuts(lp, active))
@@ -114,7 +118,7 @@ def test_removal_preserves_integer_optimum():
 def test_old_bound_cuts_are_regular_candidates():
     lp = packing_lp(2)
     traj = run_removal(lp, CutScorer("remove-random", rng_seed=1),
-                       RunConfig(max_iters=8, mode=REMOVAL))
+                       RunConfig(max_iters=8))
     bound_ids = {i for i, c in traj.cuts.items() if c.kind == BOUND}
     assert bound_ids
     seen_as_candidate_again = any(
@@ -166,3 +170,38 @@ def test_trajectories_deterministic():
     t1 = run_policy(lp, "remove-random", RunConfig(max_iters=5, seed=7))
     t2 = run_policy(lp, "remove-random", RunConfig(max_iters=5, seed=7))
     assert trajectory_to_dict(t1) == trajectory_to_dict(t2)
+
+
+@pytest.mark.parametrize("policy", ["mv", "remove-random"])
+@pytest.mark.parametrize("family", ["packing", "max_cut"])
+def test_rational_run_keeps_fractions_and_valid_cuts(family, policy, monkeypatch):
+    """Exact mode end to end: every main-loop tableau holds only ``Fraction``
+    entries, and every pool cut separates the optimum it was read from while
+    keeping every integer point of its LP feasible."""
+    base = generate(InstanceSpec(family, "tiny", 1))
+    box = integer_box(base)
+    solve_simplex, generate_cutpool = engine.solve_simplex, engine.generate_cutpool
+    seen = {"solves": 0, "cuts": 0}
+
+    def checked_solve(sf, objective, mode, tols):
+        sol = solve_simplex(sf, objective, mode, tols)
+        tab = sol.tableau
+        for a in (tab.matrix, tab.rhs, tab.reduced_costs, sol.x):
+            assert all(type(v) is Fraction for v in a.ravel())
+        seen["solves"] += 1
+        return sol
+
+    def checked_pool(sol, sf, lp, *args):
+        pool = generate_cutpool(sol, sf, lp, *args)
+        pts = enumerate_integer_points(lp, box)
+        x = sol.x.astype(float)
+        for cut in pool:
+            assert validate_cut(cut, x, pts)
+        seen["cuts"] += len(pool)
+        return pool
+
+    monkeypatch.setattr(engine, "solve_simplex", checked_solve)
+    monkeypatch.setattr(engine, "generate_cutpool", checked_pool)
+    traj = run_policy(base, policy, RunConfig(max_iters=3, seed=1, arithmetic=RATIONAL))
+    assert traj.arithmetic == RATIONAL
+    assert seen["solves"] >= len(traj.records) and seen["cuts"] > 0

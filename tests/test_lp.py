@@ -1,10 +1,12 @@
 """Simplex and standard-form tests, checked against brute-force vertex enumeration."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cutplane import lp as lp_mod
 from cutplane.lp import (
     EQ,
     FLOAT,
@@ -166,22 +168,27 @@ def test_degenerate_rhs_zero_rows():
 
 
 def test_matches_vertex_enumeration_oracle():
-    """Float simplex agrees with basic-solution enumeration on random LPs."""
-    rng = np.random.default_rng(20240601)
-    checked = 0
-    for _ in range(120):
-        lp = random_lp(rng)
-        status, ref = vertex_enumeration_value(lp)
-        sol = solve_lp(lp)
-        assert sol.status == status
-        if status == OPTIMAL:
-            assert sol.value == pytest.approx(ref, abs=1e-6)
-            checked += 1
-    assert checked > 60  # most draws should be feasible
+    """The simplex, in either arithmetic, agrees with basic-solution enumeration."""
+    for mode in (FLOAT, RATIONAL):
+        rng = np.random.default_rng(20240601)
+        checked = 0
+        for _ in range(120):
+            lp = random_lp(rng)
+            status, ref = vertex_enumeration_value(lp)
+            sol = solve_lp(lp, mode=mode)
+            assert sol.status == status, mode
+            if status == OPTIMAL:
+                assert float(sol.value) == pytest.approx(ref, abs=1e-6), mode
+                checked += 1
+        assert checked > 60  # most draws should be feasible
 
 
 def test_rational_agrees_with_float():
-    """Exact mode is the correctness oracle for the float path."""
+    """The same pivot rules run exactly reach the float path's optimal values.
+
+    This checks the float arithmetic, not the algorithm: both modes run one
+    solver, which vertex enumeration checks independently.
+    """
     rng = np.random.default_rng(7)
     for _ in range(40):
         lp = random_lp(rng)
@@ -190,6 +197,75 @@ def test_rational_agrees_with_float():
         assert f.status == e.status
         if f.status == OPTIMAL:
             assert abs(f.value - float(e.value)) < 1e-6
+
+
+def phase1_artificials(lp):
+    """Rational solve of ``lp``, and which artificials phase 1 left basic.
+
+    The second value lists, per row whose basic variable is still artificial
+    when phase 1 ends, whether that row has a nonzero entry in a structural
+    or slack column (so the artificial can be pivoted out) or none (the row is
+    redundant and dropped).
+    """
+    sf = to_standard_form(lp)
+    width = sf.aug.shape[1]
+    left = []
+    run_pivots = lp_mod._run_pivots
+
+    def spy(T, basis, m, *args):
+        status = run_pivots(T, basis, m, *args)
+        if not left:  # the first call is phase 1
+            left.append([bool(np.any(T[i, :width] != 0)) for i in range(m) if basis[i] >= width])
+        return status
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_mod, "_run_pivots", spy)
+        sol = solve_simplex(sf, lp.objective, RATIONAL)
+    return sol, left[0]
+
+
+def assert_exact_optimum(sol, lp):
+    """Fraction entries only, an exact identity at the basis, and a feasible x."""
+    tab = sol.tableau
+    arrays = (tab.matrix, tab.rhs, tab.reduced_costs, sol.x)
+    assert all(type(v) is Fraction for a in arrays for v in a.ravel())
+    assert type(sol.value) is Fraction
+    assert (tab.matrix[:, tab.basis] == np.eye(len(tab.basis), dtype=int)).all()
+    assert (tab.reduced_costs >= 0).all()
+    assert all(v == 0 for v in tab.reduced_costs[tab.basis])
+    lhs = lp.A.astype(int) @ sol.x
+    for i, s in enumerate(lp.senses):
+        assert {LE: lhs[i] <= lp.b[i], GE: lhs[i] >= lp.b[i], EQ: lhs[i] == lp.b[i]}[s]
+
+
+def test_rational_phase1_drops_redundant_eq_row():
+    """x1 + x2 = 2 twice over: the second row's artificial stays basic on an
+    all-zero row, and the row is dropped."""
+    lp = LinearProgram(objective=[1.0, 2.0], A=[[1.0, 1.0], [2.0, 2.0]], b=[2.0, 4.0],
+                       senses=[EQ, EQ])
+    sol, left = phase1_artificials(lp)
+    assert left == [False]
+    assert sol.status == OPTIMAL
+    assert len(sol.tableau.basis) == 1
+    assert sol.value == 2 and list(sol.x) == [2, 0]
+    assert_exact_optimum(sol, lp)
+
+
+def test_rational_phase1_pivots_artificial_out():
+    """An artificial basic at zero level on a row with nonzero entries is
+    pivoted out, and every row stays.  Both EQ rows keep their artificial;
+    the first row is (-1, 3, 2, 0), where the largest |entry| picks x2 and
+    the first nonzero would pick x1.  Exact mode ends on the float basis."""
+    lp = LinearProgram(objective=[0.0, 3.0, 0.0],
+                       A=[[-1.0, 3.0, 2.0], [-1.0, -3.0, -3.0], [1.0, 1.0, 1.0]],
+                       b=[0.0, 0.0, 4.0], senses=[EQ, EQ, LE])
+    sol, left = phase1_artificials(lp)
+    assert left == [True, True]
+    assert sol.status == OPTIMAL
+    assert sol.tableau.basis.tolist() == solve_lp(lp).tableau.basis.tolist() == [1, 2, 3]
+    status, ref = vertex_enumeration_value(lp)
+    assert status == OPTIMAL and sol.value == ref == solve_lp(lp).value
+    assert_exact_optimum(sol, lp)
 
 
 def test_optimal_solution_feasible_and_complementary():

@@ -14,7 +14,7 @@ import pytest
 
 from cutplane import lp as lp_mod
 from cutplane.engine import RunConfig, run_policy
-from cutplane.gomory import GOMORY, Cut, CutPool, _gcd_reduce, apply_cuts, generate_cutpool
+from cutplane.gomory import GOMORY, Cut, CutPool, apply_cuts, generate_cutpool
 from cutplane.instances import FAMILIES, InstanceSpec, generate
 from cutplane.lp import (
     DEFAULT_TOLS,
@@ -127,7 +127,12 @@ def reference_cutpool(sol, sf, tol, ids, born_iter, tols=DEFAULT_TOLS):
         rounded = np.round(alpha)
         beta_r = round(beta)
         if np.max(np.abs(alpha - rounded), initial=0.0) <= 1e-6 and abs(beta - beta_r) <= 1e-6:
-            alpha, beta = _gcd_reduce(rounded, float(beta_r))
+            # Divide the all-integer cut by the common factor of its coefficients.
+            alpha, beta = rounded, float(beta_r)
+            g = np.gcd.reduce(np.abs(alpha.astype(np.int64))) if alpha.size else 0
+            g = math.gcd(int(g), abs(int(round(beta))))
+            if g > 1:
+                alpha, beta = alpha / g, beta / g
         if not np.any(alpha):
             continue
         if float(alpha @ x) - beta <= tols.feasibility:
@@ -165,8 +170,8 @@ def test_kernels_match_loop_references(family, monkeypatch):
 
             sol = solve_simplex(sf, lp_k.objective)
             with monkeypatch.context() as mp:
-                mp.setattr(lp_mod, "_pivot_float", reference_pivot)
-                mp.setattr(lp_mod, "_run_pivots_float", reference_run_pivots)
+                mp.setattr(lp_mod, "_pivot", reference_pivot)
+                mp.setattr(lp_mod, "_run_pivots", reference_run_pivots)
                 ref_sol = solve_simplex(sf, lp_k.objective)
             assert tableau_bytes(sol) == tableau_bytes(ref_sol), (preset, seed, rec.k)
 

@@ -148,14 +148,33 @@ def test_pivot_cap_falls_back_to_cold(caplog, monkeypatch):
 
 
 def test_warm_infeasible_child_is_confirmed_cold(caplog):
+    """A warm INFEASIBLE that the cold solve confirms is logged at DEBUG only."""
     lp = two_var_lp()
     child = with_bound(lp, 0, GE, 3.0)  # 3x1 <= 6 allows x1 <= 2 only
     assert reoptimize(solve_lp(lp), lp.objective, [-1.0, 0.0], [-3.0]).status == INFEASIBLE
-    with caplog.at_level(logging.WARNING, logger="cutplane"):
+    with caplog.at_level(logging.DEBUG, logger="cutplane"):
         sol = solve_warm(child, solve_lp(lp), 1)
-    assert len(warnings_of(caplog)) == 1
-    assert "ended infeasible" in warnings_of(caplog)[0].getMessage()
     assert sol.status == INFEASIBLE == solve_lp(child).status
+    assert warnings_of(caplog) == []
+    debug = [r for r in caplog.records if r.levelno == logging.DEBUG]
+    assert len(debug) == 1
+    assert "confirmed cold" in debug[0].getMessage()
+
+
+def test_warm_infeasible_contradicted_cold_warns(caplog, monkeypatch):
+    """A warm INFEASIBLE on a feasible child: one WARNING naming both statuses."""
+    lp = two_var_lp()
+    child = with_bound(lp, 1, LE, 1.0)
+    monkeypatch.setattr(lp_mod, "reoptimize", lambda *args, **kwargs: lp_mod.LpSolution(INFEASIBLE))
+    with caplog.at_level(logging.DEBUG, logger="cutplane"):
+        sol = solve_warm(child, solve_lp(lp), 1)
+    cold = solve_lp(child)
+    assert cold.status == OPTIMAL
+    assert sol.status == OPTIMAL and sol.value == cold.value
+    np.testing.assert_array_equal(sol.x, cold.x)
+    assert len(warnings_of(caplog)) == 1
+    message = warnings_of(caplog)[0].getMessage()
+    assert "ended infeasible" in message and "ended optimal" in message
 
 
 @pytest.mark.parametrize("basis", [[0, 0], [0, 1, 2]], ids=["singular", "wrong-size"])
