@@ -60,9 +60,8 @@ from .engine import (
     save_trajectory,
 )
 from .policies import (
-    AdditionPolicy,
-    CutScorer,
     EmptyPool,
+    Policy,
     lookahead_add_scores,
     lookahead_remove_scores,
     select_addition,

@@ -32,7 +32,6 @@ from .engine import (
     load_trajectory,
     run_policy,
     save_trajectory,
-    trajectory_to_dict,
 )
 from .instances import FAMILIES, InstanceSpec, PRESETS, generate, load_instance, save_instance
 from .lp import FLOAT, OPTIMAL, RATIONAL, Tolerances, solve_lp
@@ -196,7 +195,11 @@ def model_path(out: Path, family: str, preset: str) -> Path:
 
 
 def list_instances(dir_path: Path) -> list[Path]:
-    return sorted(dir_path.glob("*.json"))
+    """The instance files under ``dir_path``; none is an error."""
+    paths = sorted(dir_path.glob("*.json"))
+    if not paths:
+        raise FileNotFoundError(f"no instances under {dir_path}")
+    return paths
 
 
 def metadata_line(cfg: Settings, **extra) -> str:
@@ -281,8 +284,6 @@ def cmd_oracle(cfg: Settings) -> None:
     workers = int(cfg.get("workers"))
     for role in (r.strip() for r in roles):
         paths = list_instances(instances_dir(out, family, preset, role))
-        if not paths:
-            raise FileNotFoundError(f"no instances under {instances_dir(out, family, preset, role)}")
         t0 = time.time()
         results = _pool_map(workers, _oracle_one, [(p, node_limit, tols) for p in paths])
         entries = dict(sorted(results))
@@ -313,14 +314,34 @@ def load_oracle(out: Path, family: str, preset: str, role: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _collect_one(item):
-    path, policy, run_kwargs, dest, model_file = item
+def _run_kwargs(cfg: Settings, **extra) -> dict:
+    """The RunConfig fields that every instance of a collect or eval run shares."""
+    return dict(max_iters=int(cfg.get("max_iters")), arithmetic=cfg.get("arith"),
+                tols=tolerances(cfg), **extra)
+
+
+def _model_for(policy: str, model_file):
+    """The model file a policy runs with: None unless it is neural, which needs one."""
+    if policy not in (NEURAL, REMOVE_NEURAL):
+        return None
+    if not model_file:
+        raise MissingModel(f"policy {policy} needs --model")
+    return model_file
+
+
+def _run_one(path, policy, run_kwargs, model_file):
+    """Load one instance (and the model, if any) and run one policy on it."""
     lp, doc = load_instance(path)
     model = load_model(model_file) if model_file else None
-    run_cfg = RunConfig(seed=doc["seed"], record_scores=True, **run_kwargs)
-    traj = run_policy(lp, policy, run_cfg, instance_id=doc["instance_id"], model=model)
-    save_trajectory(traj, Path(dest) / f"{doc['instance_id']}.json")
-    return doc["instance_id"], traj.status
+    iid = doc["instance_id"]
+    return iid, run_policy(lp, policy, RunConfig(seed=doc["seed"], **run_kwargs), iid, model)
+
+
+def _collect_one(item):
+    path, policy, run_kwargs, dest, model_file = item
+    iid, traj = _run_one(path, policy, run_kwargs, model_file)
+    save_trajectory(traj, Path(dest) / f"{iid}.json")
+    return iid, traj.status
 
 
 def cmd_collect(cfg: Settings) -> None:
@@ -329,26 +350,15 @@ def cmd_collect(cfg: Settings) -> None:
     roles = (cfg.get("role") or "train,val").split(",")
     policies = parse_policies(cfg.get_or("policies", "lookahead"))
     workers = int(cfg.get("workers"))
-    run_kwargs = {
-        "max_iters": int(cfg.get("max_iters")),
-        "arithmetic": cfg.get("arith"),
-        "integrality_tol": float(cfg.get("integrality_tol")),
-        "tols": tolerances(cfg),
-    }
-    model_file = cfg.get("model")
+    run_kwargs = _run_kwargs(cfg, record_scores=True)
     for role in (r.strip() for r in roles):
         paths = list_instances(instances_dir(out, family, preset, role))
-        if not paths:
-            raise FileNotFoundError(f"no instances under {instances_dir(out, family, preset, role)}")
         for policy in policies:
-            needs_model = policy in (NEURAL, REMOVE_NEURAL)
-            if needs_model and not model_file:
-                raise MissingModel(f"policy {policy} needs --model")
+            model_file = _model_for(policy, cfg.get("model"))
             dest = trajectories_dir(out, family, preset, role, policy)
             dest.mkdir(parents=True, exist_ok=True)
             t0 = time.time()
-            items = [(p, policy, run_kwargs, str(dest), model_file if needs_model else None)
-                     for p in paths]
+            items = [(p, policy, run_kwargs, str(dest), model_file) for p in paths]
             results = _pool_map(workers, _collect_one, items)
             statuses = [s for _, s in results]
             logger.info(
@@ -434,12 +444,8 @@ def cmd_train(cfg: Settings) -> None:
 
 def _eval_one(item):
     path, policy, run_kwargs, model_file, z_int, max_iters = item
-    lp, doc = load_instance(path)
-    model = load_model(model_file) if model_file else None
-    run_cfg = RunConfig(seed=doc["seed"], **run_kwargs)
-    traj = run_policy(lp, policy, run_cfg, instance_id=doc["instance_id"], model=model)
-    igc = extend_curve(compute_igc(traj, z_int), max_iters)
-    return doc["instance_id"], igc
+    iid, traj = _run_one(path, policy, run_kwargs, model_file)
+    return iid, extend_curve(compute_igc(traj, z_int), max_iters)
 
 
 def cmd_eval(cfg: Settings) -> None:
@@ -449,30 +455,19 @@ def cmd_eval(cfg: Settings) -> None:
     policies = parse_policies(cfg.get("policies"))
     workers = int(cfg.get("workers"))
     max_iters = int(cfg.get("max_iters"))
-    model_file = cfg.get("model")
     oracle = load_oracle(out, family, preset, role)
     paths = list_instances(instances_dir(out, family, preset, role))
-    if not paths:
-        raise FileNotFoundError(f"no instances under {instances_dir(out, family, preset, role)}")
-    run_kwargs = {
-        "max_iters": max_iters,
-        "arithmetic": cfg.get("arith"),
-        "integrality_tol": float(cfg.get("integrality_tol")),
-        "tols": tolerances(cfg),
-    }
+    run_kwargs = _run_kwargs(cfg)
     rows = []
     for policy in policies:
-        needs_model = policy in (NEURAL, REMOVE_NEURAL)
-        if needs_model and not model_file:
-            raise MissingModel(f"policy {policy} needs --model")
+        model_file = _model_for(policy, cfg.get("model"))
         items = []
         for p in paths:
             iid = p.stem
             entry = oracle.get(iid)
             if entry is None or entry["value"] is None:
                 raise KeyError(f"oracle cache has no value for {iid}")
-            items.append((p, policy, run_kwargs, model_file if needs_model else None,
-                          entry["value"], max_iters))
+            items.append((p, policy, run_kwargs, model_file, entry["value"], max_iters))
         t0 = time.time()
         results = _pool_map(workers, _eval_one, items)
         curves = np.stack([igc for _, igc in sorted(results)])

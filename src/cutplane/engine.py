@@ -1,14 +1,15 @@
-"""The two cutting-plane loops: add-only, and add-all-then-remove.
+"""One cutting-plane loop with two steps: add-only, and add-all-then-remove.
 
-Add-only: solve (H u P_k), read the Gomory pool off the tableau, stop on an
-integral optimum, otherwise append the one cut the policy picks.
+Every iteration solves (H u P_k) and reads the Gomory pool C_k off its
+tableau; removal mode then solves (H u P_k u C_k) outright.  The loop stops
+on an integral optimum (or an empty pool); otherwise only the step differs.
 
-Removal: generate the pool C_k for (H u P_k), solve (H u P_k u C_k) outright,
-stop on integrality, otherwise keep the k+1 best-scoring cuts of P_k u C_k and
-append the bound constraint c @ x >= ceil(c @ x_k*), which is what makes the
-recorded LP values nondecreasing even though earlier cuts get dropped.  Old
-bound cuts stay in the candidate set like any other cut; the newest one
-dominates them.
+Add-only appends the one cut of C_k the policy picks.
+
+Removal keeps the k+1 best-scoring cuts of P_k u C_k and appends the bound
+constraint c @ x >= ceil(c @ x_k*), which is what makes the recorded LP
+values nondecreasing even though earlier cuts get dropped.  Old bound cuts
+stay in the candidate set like any other cut; the newest one dominates them.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .gomory import BOUND, Cut, CutPool, apply_cuts, bound_cut, generate_cutpool
+from .gomory import Cut, CutPool, apply_cuts, bound_cut, generate_cutpool
 from .lp import (
     DEFAULT_TOLS,
     FLOAT,
@@ -53,7 +53,6 @@ TRAJECTORY_FORMAT_VERSION = 1
 @dataclass
 class RunConfig:
     max_iters: int = 30
-    integrality_tol: float = 1e-6
     arithmetic: str = FLOAT
     seed: int = 0
     tols: Tolerances = DEFAULT_TOLS
@@ -74,7 +73,8 @@ class CutPlaneState:
     loop solved it: add look-ahead re-optimizes each pool cut into its float
     tableau, and leave-one-out scoring reads off its basis which candidates
     are slack.  ``None`` (a replayed or hand-built state) means every
-    scoring LP is solved cold.
+    scoring LP is solved cold.  ``cfg`` is the run's configuration; scorers
+    read its arithmetic and tolerances.
     """
 
     base: LinearProgram
@@ -83,8 +83,7 @@ class CutPlaneState:
     iter: int
     x_star: np.ndarray
     lp_value: float
-    arithmetic: str = FLOAT
-    tols: Tolerances = DEFAULT_TOLS
+    cfg: RunConfig = field(default_factory=RunConfig)
     solved: Optional[tuple[StandardForm, LpSolution]] = None
 
     def candidates(self) -> list[Cut]:
@@ -134,13 +133,25 @@ def _solve(lp: LinearProgram, cfg: RunConfig):
     return sf, sol
 
 
-def run_add_only(
-    lp: LinearProgram,
-    policy: "_policies.AdditionPolicy",
-    cfg: RunConfig,
-    instance_id: str = "",
-) -> Trajectory:
+def run_add_only(lp: LinearProgram, policy: "_policies.Policy", cfg: RunConfig,
+                 instance_id: str = "") -> Trajectory:
     """Classical cutting-plane loop: one policy-chosen cut per iteration."""
+    return _run(lp, policy, cfg, instance_id, ADD_ONLY)
+
+
+def run_removal(lp: LinearProgram, policy: "_policies.Policy", cfg: RunConfig,
+                instance_id: str = "") -> Trajectory:
+    """Cut removal loop: add the whole pool, keep the k+1 best, add the bound cut."""
+    return _run(lp, policy, cfg, instance_id, REMOVAL)
+
+
+def _run(lp: LinearProgram, policy: "_policies.Policy", cfg: RunConfig,
+         instance_id: str, mode: str) -> Trajectory:
+    """The loop both modes share; ``mode`` picks the step after a fractional optimum."""
+    kinds = _policies.REMOVAL_KINDS if mode == REMOVAL else _policies.ADDITION_KINDS
+    if policy.kind not in kinds:
+        raise ValueError(f"policy {policy.kind!r} does not run in the {mode} loop")
+    tol = cfg.tols.integrality
     ids = itertools.count()
     P: list[Cut] = []
     registry: dict[int, Cut] = {}
@@ -152,80 +163,41 @@ def run_add_only(
         if sol is None:
             status = NUMERICAL_FAILURE
             break
-        vk = float(sol.value)
-        xk = np.asarray(sol.x, dtype=float)
-        pool = generate_cutpool(sol, sf, lp_k, cfg.integrality_tol, ids, k, cfg.tols)
+        pool = generate_cutpool(sol, sf, lp_k, tol, ids, k, cfg.tols)
         registry.update({c.id: c for c in pool.cuts})
-        state = CutPlaneState(lp, P, pool, k, xk, vk, cfg.arithmetic, cfg.tols, (sf, sol))
-        if is_integral(xk, cfg.integrality_tol):
-            records.append(_record(k, vk, pool, P, [], [], xk, None))
-            status = INTEGRAL_FOUND
-            break
-        if not pool.cuts:
-            records.append(_record(k, vk, pool, P, [], [], xk, None))
-            status = NUMERICAL_FAILURE
-            break
-        raw = None
-        if cfg.record_scores or policy.kind == _policies.LOOKAHEAD:
-            raw = _policies.lookahead_add_scores(pool, state)
-        chosen_id = _policies.select_addition(pool, state, policy, precomputed_scores=raw)
-        records.append(_record(k, vk, pool, P, [chosen_id], [], xk,
-                               raw.tolist() if raw is not None else None))
-        P = P + [registry[chosen_id]]
-    return Trajectory(instance_id, policy.kind, ADD_ONLY, status, records, registry,
-                      cfg.seed, cfg.arithmetic)
-
-
-def run_removal(
-    lp: LinearProgram,
-    scorer: "_policies.CutScorer",
-    cfg: RunConfig,
-    instance_id: str = "",
-) -> Trajectory:
-    """Cut removal loop: add the whole pool, keep the k+1 best, add the bound cut."""
-    ids = itertools.count()
-    P: list[Cut] = []
-    registry: dict[int, Cut] = {}
-    records: list[IterationRecord] = []
-    status = ITER_LIMIT
-    for k in range(1, cfg.max_iters + 1):
-        lp_k = apply_cuts(lp, P)
-        sf_k, sol_base = _solve(lp_k, cfg)
-        if sol_base is None:
-            status = NUMERICAL_FAILURE
-            break
-        pool = generate_cutpool(sol_base, sf_k, lp_k, cfg.integrality_tol, ids, k, cfg.tols)
-        registry.update({c.id: c for c in pool.cuts})
-        if pool.cuts:
-            lp_full = apply_cuts(lp_k, pool.cuts)
-            sf_full, sol_full = _solve(lp_full, cfg)
-            if sol_full is None:
+        if mode == REMOVAL and pool.cuts:
+            sf, sol = _solve(apply_cuts(lp_k, pool.cuts), cfg)
+            if sol is None:
                 status = NUMERICAL_FAILURE
                 break
+        vk = float(sol.value)
+        xk = np.asarray(sol.x, dtype=float)
+        integral = is_integral(xk, tol)
+        if integral or not pool.cuts:
+            records.append(_record(k, vk, pool, P, [], [], xk, None))
+            status = INTEGRAL_FOUND if integral else NUMERICAL_FAILURE
+            break
+        state = CutPlaneState(lp, P, pool, k, xk, vk, cfg, (sf, sol))
+        if mode == ADD_ONLY:
+            raw = None
+            if cfg.record_scores or policy.kind == _policies.LOOKAHEAD:
+                raw = _policies.lookahead_add_scores(pool, state)
+            chosen = _policies.select_addition(pool, state, policy, precomputed_scores=raw)
+            records.append(_record(k, vk, pool, P, [chosen], [], xk,
+                                   raw.tolist() if raw is not None else None))
+            P = P + [registry[chosen]]
         else:
-            sf_full, sol_full = sf_k, sol_base
-        vk = float(sol_full.value)
-        xk = np.asarray(sol_full.x, dtype=float)
-        state = CutPlaneState(lp, P, pool, k, xk, vk, cfg.arithmetic, cfg.tols,
-                              (sf_full, sol_full))
-        if is_integral(xk, cfg.integrality_tol):
-            records.append(_record(k, vk, pool, P, [], [], xk, None))
-            status = INTEGRAL_FOUND
-            break
-        if not pool.cuts:
-            records.append(_record(k, vk, pool, P, [], [], xk, None))
-            status = NUMERICAL_FAILURE
-            break
-        cands = state.candidates()
-        scores = _policies.score_candidates(cands, state, scorer)
-        retained = _policies.select_retained(cands, scores, budget=k + 1)
-        retained_set = set(retained)
-        bc = bound_cut(lp.objective, vk, next(ids), k, cfg.integrality_tol)
-        registry[bc.id] = bc
-        removed = [c.id for c in cands if c.id not in retained_set]
-        records.append(_record(k, vk, pool, P, retained + [bc.id], removed, xk, None))
-        P = [c for c in cands if c.id in retained_set] + [bc]
-    return Trajectory(instance_id, scorer.kind, REMOVAL, status, records, registry,
+            cands = state.candidates()
+            scores = _policies.score_candidates(cands, state, policy)
+            retained = _policies.select_retained(cands, scores, budget=k + 1)
+            kept = set(retained)
+            bc = bound_cut(lp.objective, vk, next(ids), k, tol)
+            registry[bc.id] = bc
+            removed = [c.id for c in cands if c.id not in kept]
+            # selected_ids keep select_retained's score order; P keeps candidate order.
+            records.append(_record(k, vk, pool, P, retained + [bc.id], removed, xk, None))
+            P = [c for c in cands if c.id in kept] + [bc]
+    return Trajectory(instance_id, policy.kind, mode, status, records, registry,
                       cfg.seed, cfg.arithmetic)
 
 
@@ -247,14 +219,9 @@ def _record(k, vk, pool, P, selected, removed, xk, pool_scores) -> IterationReco
 def run_policy(lp: LinearProgram, policy_name: str, cfg: RunConfig,
                instance_id: str = "", model=None) -> Trajectory:
     """Dispatch a policy name (CLI vocabulary) to the right loop."""
-    seed = cfg.seed
-    if policy_name in _policies.ADDITION_KINDS:
-        pol = _policies.AdditionPolicy(policy_name, rng_seed=seed, model=model)
-        return run_add_only(lp, pol, cfg, instance_id)
-    if policy_name in _policies.REMOVAL_KINDS:
-        scorer = _policies.CutScorer(policy_name, rng_seed=seed, model=model)
-        return run_removal(lp, scorer, cfg, instance_id)
-    raise ValueError(f"unknown policy {policy_name!r}")
+    policy = _policies.Policy(policy_name, rng_seed=cfg.seed, model=model)
+    run = run_removal if policy_name in _policies.REMOVAL_KINDS else run_add_only
+    return run(lp, policy, cfg, instance_id)
 
 
 def compute_igc(traj: Trajectory, z_int: float) -> np.ndarray:

@@ -46,12 +46,8 @@ def _stat_block(values: np.ndarray) -> tuple[float, float, float, float]:
     return float(values.mean()), float(values.max()), float(values.min()), float(values.std())
 
 
-def encode(cut: "Cut", state: "CutPlaneState", include_beta: bool = True) -> np.ndarray:
-    """Encode one cut against ``state`` (pure function; no NaN/Inf in the output).
-
-    ``include_beta`` controls whether beta joins the coefficient-statistics
-    population (the default) or the statistics run over alpha alone (ablation).
-    """
+def encode(cut: "Cut", state: "CutPlaneState") -> np.ndarray:
+    """Encode one cut against ``state`` (pure function; no NaN/Inf in the output)."""
     alpha = np.asarray(cut.alpha, dtype=float)
     beta = float(cut.beta)
     c = np.asarray(state.base.objective, dtype=float)
@@ -63,8 +59,7 @@ def encode(cut: "Cut", state: "CutPlaneState", include_beta: bool = True) -> np.
 
     amax = float(np.max(np.abs(alpha)))
     scale = 10.0 ** (-math.floor(math.log10(amax)))
-    stats_pop = np.append(alpha, beta) if include_beta else alpha
-    f0, f1, f2, f3 = _stat_block(stats_pop * scale)
+    f0, f1, f2, f3 = _stat_block(np.append(alpha, beta) * scale)
     f4, f5, f6, f7 = _stat_block(c)
 
     cnorm = float(np.linalg.norm(c))
@@ -85,8 +80,8 @@ def encode(cut: "Cut", state: "CutPlaneState", include_beta: bool = True) -> np.
     return out
 
 
-def encode_many(cuts, state, include_beta: bool = True) -> np.ndarray:
+def encode_many(cuts, state) -> np.ndarray:
     """(len(cuts), 14) feature matrix in candidate order."""
     if not cuts:
         return np.zeros((0, NUM_FEATURES))
-    return np.stack([encode(c, state, include_beta) for c in cuts])
+    return np.stack([encode(c, state) for c in cuts])

@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 

@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .features import NUM_FEATURES, encode
-from .gomory import apply_cuts
+from .features import FEATURE_NAMES, NUM_FEATURES, encode
+from .gomory import CutPool, apply_cuts
 from .lp import DEFAULT_TOLS, FLOAT, OPTIMAL, LinearProgram, Tolerances, solve_lp
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -316,13 +316,13 @@ def build_dataset(
 
 
 def _replay_state(lp, active, pool_cuts, rec, traj) -> "CutPlaneState":
-    from .engine import CutPlaneState as _State
-    from .gomory import CutPool as _Pool
+    # Imported here, not at the top: engine imports policies, which imports model.
+    from .engine import CutPlaneState
 
-    return _State(
+    return CutPlaneState(
         base=lp,
         active_cuts=active,
-        pool=_Pool(pool_cuts, rec.k),
+        pool=CutPool(pool_cuts, rec.k),
         iter=rec.k,
         x_star=np.asarray(rec.x_star, dtype=float),
         lp_value=rec.lp_value,
@@ -337,8 +337,6 @@ def _replay_state(lp, active, pool_cuts, rec, traj) -> "CutPlaneState":
 def save_dataset(samples: Sequence[TrainSample], path) -> None:
     """Columnar CSV: the 14 feature columns in their fixed order, then target
     and provenance columns; float text is repr so values round-trip exactly."""
-    from .features import FEATURE_NAMES
-
     with open(path, "w") as fh:
         fh.write(",".join(FEATURE_NAMES + ["target", "family", "instance_id", "iteration"]) + "\n")
         for s in samples:
@@ -347,8 +345,6 @@ def save_dataset(samples: Sequence[TrainSample], path) -> None:
 
 
 def load_dataset(path) -> list[TrainSample]:
-    from .features import FEATURE_NAMES
-
     out = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")

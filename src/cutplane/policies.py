@@ -50,32 +50,20 @@ class EmptyPool(ValueError):
 
 
 @dataclass
-class AdditionPolicy:
+class Policy:
+    """One cut-selection behavior: an addition kind picks one pool cut, a
+    removal kind scores every candidate."""
+
     kind: str
     rng_seed: int = 0
     model: Optional[MlpParams] = None
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ADDITION_KINDS:
-            raise ValueError(f"unknown addition policy {self.kind!r}")
-        if self.kind == NEURAL and self.model is None:
-            raise ValueError("neural addition policy requires a model")
-        self._rng = np.random.default_rng(self.rng_seed)
-
-
-@dataclass
-class CutScorer:
-    kind: str
-    rng_seed: int = 0
-    model: Optional[MlpParams] = None
-    _rng: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in REMOVAL_KINDS:
-            raise ValueError(f"unknown removal scorer {self.kind!r}")
-        if self.kind == REMOVE_NEURAL and self.model is None:
-            raise ValueError("neural removal scorer requires a model")
+        if self.kind not in ADDITION_KINDS + REMOVAL_KINDS:
+            raise ValueError(f"unknown policy {self.kind!r}")
+        if self.kind in (NEURAL, REMOVE_NEURAL) and self.model is None:
+            raise ValueError(f"{self.kind} policy requires a model")
         self._rng = np.random.default_rng(self.rng_seed)
 
 
@@ -87,9 +75,9 @@ def _solve_value(lp, state, parent=None) -> float:
     """
     try:
         if parent is None:
-            sol = solve_lp(lp, mode=state.arithmetic, tols=state.tols)
+            sol = solve_lp(lp, mode=state.cfg.arithmetic, tols=state.cfg.tols)
         else:
-            sol = solve_warm(lp, parent, 1, state.tols)
+            sol = solve_warm(lp, parent, 1, state.cfg.tols)
     except CycleLimitExceeded as exc:
         logger.warning("scoring LP hit the pivot cap: %s", exc)
         return -math.inf
@@ -107,7 +95,7 @@ def lookahead_add_scores(pool: CutPool, state: "CutPlaneState") -> np.ndarray:
     """
     base = apply_cuts(state.base, state.active_cuts)
     parent = None
-    if state.solved is not None and state.arithmetic == FLOAT:
+    if state.solved is not None and state.cfg.arithmetic == FLOAT:
         parent = state.solved[1]
     return np.array([_solve_value(apply_cuts(base, [c]), state, parent) for c in pool.cuts])
 
@@ -160,7 +148,7 @@ def _neural_scores(cuts: Sequence[Cut], state: "CutPlaneState", model: MlpParams
 def select_addition(
     pool: CutPool,
     state: "CutPlaneState",
-    policy: AdditionPolicy,
+    policy: Policy,
     precomputed_scores: Optional[np.ndarray] = None,
 ) -> int:
     """Pick one cut id from the pool; ties always break toward the lowest id.
@@ -195,7 +183,7 @@ def select_addition(
         return _argbest(cuts, scores, TIE_REL)
     if kind == NEURAL:
         return _argbest(cuts, _neural_scores(cuts, state, policy.model))
-    raise ValueError(f"unknown addition policy {kind!r}")
+    raise ValueError(f"{kind!r} is not an addition policy")
 
 
 def _argbest(cuts: Sequence[Cut], scores, rel_tol: float = 0.0) -> int:
@@ -206,14 +194,14 @@ def _argbest(cuts: Sequence[Cut], scores, rel_tol: float = 0.0) -> int:
 
 
 def score_candidates(candidates: Sequence[Cut], state: "CutPlaneState",
-                     scorer: CutScorer) -> np.ndarray:
-    if scorer.kind == REMOVE_LOOKAHEAD:
+                     policy: Policy) -> np.ndarray:
+    if policy.kind == REMOVE_LOOKAHEAD:
         return lookahead_remove_scores(candidates, state)
-    if scorer.kind == REMOVE_NEURAL:
-        return _neural_scores(candidates, state, scorer.model)
-    if scorer.kind == REMOVE_RANDOM:
-        return scorer._rng.random(len(candidates))
-    raise ValueError(f"unknown removal scorer {scorer.kind!r}")
+    if policy.kind == REMOVE_NEURAL:
+        return _neural_scores(candidates, state, policy.model)
+    if policy.kind == REMOVE_RANDOM:
+        return policy._rng.random(len(candidates))
+    raise ValueError(f"{policy.kind!r} is not a removal policy")
 
 
 def select_retained(candidates: Sequence[Cut], scores: Sequence[float], budget: int) -> list[int]:

@@ -12,7 +12,7 @@ from cutplane.model import (
     load_dataset,
     save_dataset,
 )
-from cutplane.policies import AdditionPolicy
+from cutplane.policies import Policy
 
 
 def packing_lp(seed=0, n=5, m=5):
@@ -30,7 +30,7 @@ def packing_lp(seed=0, n=5, m=5):
 def lookahead_traj():
     lp = packing_lp(11)
     cfg = RunConfig(max_iters=6, record_scores=True)
-    traj = run_add_only(lp, AdditionPolicy("lookahead"), cfg, instance_id="p11")
+    traj = run_add_only(lp, Policy("lookahead"), cfg, instance_id="p11")
     assert len(traj.records) >= 3
     return lp, traj
 

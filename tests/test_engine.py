@@ -26,7 +26,7 @@ from cutplane.gomory import BOUND, apply_cuts, ceil_snap, validate_cut
 from cutplane.instances import InstanceSpec, generate
 from cutplane.lp import LE, RATIONAL, LinearProgram, solve_lp
 from cutplane.oracle import enumerate_integer_points, integer_box, solve_ilp
-from cutplane.policies import AdditionPolicy, CutScorer
+from cutplane.policies import Policy
 
 
 def two_var_lp():
@@ -52,14 +52,14 @@ def packing_lp(seed=0, n=5, m=5):
 
 def test_integral_relaxation_stops_at_iteration_one():
     lp = LinearProgram(objective=[-1.0, -1.0], A=np.eye(2), b=[2.0, 3.0], senses=[LE, LE])
-    traj = run_add_only(lp, AdditionPolicy("random"), RunConfig(max_iters=10))
+    traj = run_add_only(lp, Policy("random"), RunConfig(max_iters=10))
     assert traj.status == INTEGRAL_FOUND
     assert len(traj.records) == 1
 
 
 def test_lookahead_strictly_improves_first_iteration():
     lp = two_var_lp()
-    traj = run_add_only(lp, AdditionPolicy("lookahead"), RunConfig(max_iters=2))
+    traj = run_add_only(lp, Policy("lookahead"), RunConfig(max_iters=2))
     assert len(traj.records) >= 2
     assert traj.records[1].lp_value > traj.records[0].lp_value + 1e-9
 
@@ -68,7 +68,7 @@ def test_lookahead_strictly_improves_first_iteration():
 def test_add_only_lp_values_nondecreasing(policy):
     for seed in range(3):
         lp = packing_lp(seed)
-        traj = run_add_only(lp, AdditionPolicy(policy, rng_seed=seed),
+        traj = run_add_only(lp, Policy(policy, rng_seed=seed),
                             RunConfig(max_iters=8))
         v = traj.lp_values
         assert np.all(np.diff(v) >= -1e-7)
@@ -77,7 +77,7 @@ def test_add_only_lp_values_nondecreasing(policy):
 def test_removal_budget_bookkeeping():
     """|P_1| = 0 and |P_{k+1}| = min(k+1, |P_k u C_k|) + 1 (retained plus bound cut)."""
     lp = packing_lp(3)
-    traj = run_removal(lp, CutScorer("remove-random", rng_seed=0), RunConfig(max_iters=8))
+    traj = run_removal(lp, Policy("remove-random", rng_seed=0), RunConfig(max_iters=8))
     recs = traj.records
     assert recs[0].n_active == 0
     for prev, cur in zip(recs, recs[1:]):
@@ -89,7 +89,7 @@ def test_removal_pool_of_five_keeps_three():
     """At k=1 with a pool of >= 2 cuts, the next active set is 2 retained + 1 bound."""
     for seed in range(12):
         lp = packing_lp(seed)
-        traj = run_removal(lp, CutScorer("remove-lookahead"), RunConfig(max_iters=2))
+        traj = run_removal(lp, Policy("remove-lookahead"), RunConfig(max_iters=2))
         if traj.records and traj.records[0].pool_size >= 2 and len(traj.records) >= 2:
             assert traj.records[1].n_active == 3
             return
@@ -98,7 +98,7 @@ def test_removal_pool_of_five_keeps_three():
 
 def test_removal_lp_values_respect_bound_cut():
     lp = packing_lp(1)
-    traj = run_removal(lp, CutScorer("remove-lookahead"), RunConfig(max_iters=8))
+    traj = run_removal(lp, Policy("remove-lookahead"), RunConfig(max_iters=8))
     v = traj.lp_values
     assert np.all(np.diff(v) >= -1e-7)
     for prev, cur in zip(v, v[1:]):
@@ -108,7 +108,7 @@ def test_removal_lp_values_respect_bound_cut():
 def test_removal_preserves_integer_optimum():
     lp = two_var_lp()
     base = solve_ilp(lp)
-    traj = run_removal(lp, CutScorer("remove-lookahead"), RunConfig(max_iters=6))
+    traj = run_removal(lp, Policy("remove-lookahead"), RunConfig(max_iters=6))
     for rec in traj.records:
         active = [traj.cuts[i] for i in rec.active_ids]
         res = solve_ilp(apply_cuts(lp, active))
@@ -117,7 +117,7 @@ def test_removal_preserves_integer_optimum():
 
 def test_old_bound_cuts_are_regular_candidates():
     lp = packing_lp(2)
-    traj = run_removal(lp, CutScorer("remove-random", rng_seed=1),
+    traj = run_removal(lp, Policy("remove-random", rng_seed=1),
                        RunConfig(max_iters=8))
     bound_ids = {i for i, c in traj.cuts.items() if c.kind == BOUND}
     assert bound_ids
@@ -129,7 +129,7 @@ def test_old_bound_cuts_are_regular_candidates():
 
 def test_compute_igc_examples():
     lp = two_var_lp()
-    traj = run_add_only(lp, AdditionPolicy("lookahead"), RunConfig(max_iters=30))
+    traj = run_add_only(lp, Policy("lookahead"), RunConfig(max_iters=30))
     igc = compute_igc(traj, z_int=-2.0)
     assert igc[0] == 0.0
     assert np.all((igc >= 0.0) & (igc <= 1.0))

@@ -2,6 +2,8 @@
 
 import itertools
 import logging
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,6 +89,37 @@ def test_exact_mode_matches_float_mode():
     fs = sorted((tuple(c.alpha), c.beta) for c in pool_f)
     es = sorted((tuple(c.alpha), c.beta) for c in pool_e)
     assert fs == es
+
+
+def _fraction_cut(tab, sf, i):
+    """The cut of tableau row ``i``, derived entry by entry in ``Fraction``."""
+    g = [math.floor(e) - e for e in tab.matrix[i]]
+    alpha = g[: sf.num_vars]
+    beta = math.floor(tab.rhs[i]) - tab.rhs[i]
+    for j, r in sf.row_of_slack.items():
+        alpha = [a - g[j] * Fraction(float(sf.aug[r, col])) for col, a in enumerate(alpha)]
+        beta -= g[j] * Fraction(float(sf.rhs[r]))
+    return [float(a) for a in alpha], float(beta)
+
+
+def test_exact_cuts_eliminate_slacks_in_fractions():
+    """On one-decimal data an unsnapped exact cut is the float of its
+    ``Fraction`` derivation; eliminating slacks in float differs in the last bits."""
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(30):
+        lp = LinearProgram(objective=-rng.integers(1, 10, size=4).astype(float),
+                           A=rng.integers(1, 31, size=(4, 4)) / 10,
+                           b=rng.integers(10, 101, size=4) / 10, senses=[LE] * 4)
+        sol, sf, pool = pool_for(lp, RATIONAL)
+        row_of = {int(v): i for i, v in enumerate(sol.tableau.basis)}
+        for cut in pool:
+            alpha, beta = _fraction_cut(sol.tableau, sf, row_of[cut.basic_var])
+            if max(abs(v - round(v)) for v in alpha + [beta]) <= 1e-6:
+                continue  # snapped to integers and reduced
+            assert cut.alpha.tolist() == alpha and cut.beta == beta
+            checked += 1
+    assert checked >= 100
 
 
 def test_random_packing_cuts_validate():

@@ -5,13 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from cutplane.engine import CutPlaneState
+from cutplane.engine import CutPlaneState, RunConfig, run_add_only, run_removal
 from cutplane.gomory import Cut, CutPool, apply_cuts, generate_cutpool
 from cutplane.lp import LE, LinearProgram, solve_lp, solve_simplex, to_standard_form
 from cutplane.policies import (
-    AdditionPolicy,
-    CutScorer,
     EmptyPool,
+    Policy,
     lookahead_add_scores,
     lookahead_remove_scores,
     select_addition,
@@ -47,46 +46,46 @@ def test_single_cut_pool_every_policy():
     cut = dummy_cut(7)
     state = dummy_state([cut])
     for kind in ("random", "mv", "mnv", "lex", "minsim"):
-        assert select_addition(state.pool, state, AdditionPolicy(kind)) == 7
+        assert select_addition(state.pool, state, Policy(kind)) == 7
 
 
 def test_empty_pool_raises():
     state = dummy_state([])
     with pytest.raises(EmptyPool):
-        select_addition(state.pool, state, AdditionPolicy("random"))
+        select_addition(state.pool, state, Policy("random"))
 
 
 def test_mv_picks_most_fractional():
     cuts = [dummy_cut(0, frac=0.5, basic=1), dummy_cut(1, frac=0.1, basic=0)]
     state = dummy_state(cuts)
-    assert select_addition(state.pool, state, AdditionPolicy("mv")) == 0
+    assert select_addition(state.pool, state, Policy("mv")) == 0
 
 
 def test_mnv_divides_by_row_norm():
     cuts = [dummy_cut(0, frac=0.5, norm=10.0), dummy_cut(1, frac=0.3, norm=1.0)]
     state = dummy_state(cuts)
-    assert select_addition(state.pool, state, AdditionPolicy("mnv")) == 1
+    assert select_addition(state.pool, state, Policy("mnv")) == 1
 
 
 def test_lex_picks_smallest_fractional_index():
     cuts = [dummy_cut(0, basic=5), dummy_cut(1, basic=2)]
     state = dummy_state(cuts)
-    assert select_addition(state.pool, state, AdditionPolicy("lex")) == 1
+    assert select_addition(state.pool, state, Policy("lex")) == 1
 
 
 def test_minsim_picks_least_objective_aligned():
     cuts = [dummy_cut(0, alpha=(1.0, 2.0)), dummy_cut(1, alpha=(-1.0, -2.0))]
     state = dummy_state(cuts)
     # objective (1, 2): cut 1 points against it -> cosine -1 -> selected
-    assert select_addition(state.pool, state, AdditionPolicy("minsim")) == 1
+    assert select_addition(state.pool, state, Policy("minsim")) == 1
 
 
 def test_random_deterministic_given_seed():
     cuts = [dummy_cut(i) for i in range(6)]
     state = dummy_state(cuts)
-    picks1 = [select_addition(state.pool, state, AdditionPolicy("random", rng_seed=3))
+    picks1 = [select_addition(state.pool, state, Policy("random", rng_seed=3))
               for _ in range(1)]
-    picks2 = [select_addition(state.pool, state, AdditionPolicy("random", rng_seed=3))
+    picks2 = [select_addition(state.pool, state, Policy("random", rng_seed=3))
               for _ in range(1)]
     assert picks1 == picks2
 
@@ -95,7 +94,7 @@ def test_lookahead_attains_maximum():
     lp, pool, state = two_var_state()
     scores = lookahead_add_scores(pool, state)
     assert np.all(scores >= state.lp_value - 1e-9)
-    chosen = select_addition(pool, state, AdditionPolicy("lookahead"))
+    chosen = select_addition(pool, state, Policy("lookahead"))
     idx = pool.ids().index(chosen)
     # brute force: each augmented LP value, chosen must attain the max
     brute = [solve_lp(apply_cuts(lp, [c])).value for c in pool.cuts]
@@ -141,8 +140,14 @@ def test_select_retained_scale_invariance():
 
 def test_scorer_constructor_validation():
     with pytest.raises(ValueError):
-        CutScorer("remove-neural")
+        Policy("remove-neural")
     with pytest.raises(ValueError):
-        AdditionPolicy("neural")
+        Policy("neural")
     with pytest.raises(ValueError):
-        AdditionPolicy("nonsense")
+        Policy("nonsense")
+    # A kind of the other loop is refused before the first solve.
+    lp, _, _ = two_var_state()
+    with pytest.raises(ValueError, match="does not run"):
+        run_add_only(lp, Policy("remove-random"), RunConfig())
+    with pytest.raises(ValueError, match="does not run"):
+        run_removal(lp, Policy("mv"), RunConfig())

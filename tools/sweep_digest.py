@@ -2,8 +2,9 @@
 
     python3 tools/sweep_digest.py [--seed N]
 
-Runs every policy that needs no model on one instance of each family at the
-``tiny`` and ``small`` presets.  The first digest covers the whole
+Runs every policy on one instance of each family at the ``tiny`` and
+``small`` presets; the two neural policies score with the untrained model
+``init_params(seed=0)``.  The first digest covers the whole
 trajectory; the second covers its decisions, the trajectory with every
 record's ``pool_scores`` removed.  Two checkouts that print the same lines
 produced byte-identical trajectories on this sweep, which is the check a
@@ -24,10 +25,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cutplane.engine import RunConfig, run_policy, trajectory_to_dict  # noqa: E402
 from cutplane.instances import FAMILIES, InstanceSpec, generate  # noqa: E402
-from cutplane.policies import ADDITION_KINDS, NEURAL, REMOVAL_KINDS, REMOVE_NEURAL  # noqa: E402
+from cutplane.model import init_params  # noqa: E402
+from cutplane.policies import ADDITION_KINDS, REMOVAL_KINDS  # noqa: E402
 
 PRESETS = ("tiny", "small")
-POLICIES = [p for p in ADDITION_KINDS + REMOVAL_KINDS if p not in (NEURAL, REMOVE_NEURAL)]
+POLICIES = ADDITION_KINDS + REMOVAL_KINDS
 
 
 def _digest(doc: dict) -> str:
@@ -38,13 +40,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="instance and policy seed")
     args = parser.parse_args(argv)
+    model = init_params(seed=0)
     for family in FAMILIES:
         for preset in PRESETS:
             spec = InstanceSpec(family, preset, args.seed)
             lp = generate(spec)
             for policy in POLICIES:
                 traj = run_policy(lp, policy, RunConfig(seed=args.seed, record_scores=True),
-                                  instance_id=spec.instance_id)
+                                  instance_id=spec.instance_id, model=model)
                 doc = trajectory_to_dict(traj)
                 full = _digest(doc)
                 for rec in doc["records"]:
