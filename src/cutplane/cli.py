@@ -7,7 +7,9 @@ files, so re-runs are byte-identical.
 
 A flat key=value config file can stand in for any flag (flags win).  Keys
 beyond the flags: feasibility_tol, integrality_tol, pivot_tol, node_limit,
-epochs, lr, batch_size, patience, layer_dims, write_dataset, role.
+epochs, lr, batch_size, patience, layer_dims, write_dataset, role.  A default
+the library also has is read from it (RunConfig, DEFAULT_TOLS, Hyperparams,
+model.LAYER_DIMS, oracle.NODE_LIMIT), not copied.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import logging
 import math
 import sys
 import time
+from dataclasses import fields
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -34,8 +37,9 @@ from .engine import (
     save_trajectory,
 )
 from .instances import FAMILIES, InstanceSpec, PRESETS, generate, load_instance, save_instance
-from .lp import FLOAT, OPTIMAL, RATIONAL, Tolerances, solve_lp
+from .lp import DEFAULT_TOLS, FLOAT, OPTIMAL, RATIONAL, Tolerances, solve_lp
 from .model import (
+    LAYER_DIMS,
     Hyperparams,
     build_dataset,
     load_model,
@@ -43,7 +47,7 @@ from .model import (
     save_model,
     train_sgd,
 )
-from .oracle import solve_ilp
+from .oracle import NODE_LIMIT, solve_ilp
 from .policies import ADDITION_KINDS, NEURAL, REMOVAL_KINDS, REMOVE_NEURAL
 
 logger = logging.getLogger("cutplane.cli")
@@ -58,21 +62,21 @@ DEFAULTS = {
     "count": "20,10,20",
     "seed": 0,
     "policies": "random,mv,mnv,lex,minsim,lookahead,remove-lookahead",
-    "max_iters": 30,
+    "max_iters": RunConfig.max_iters,
     "model": None,
     "out": "runs",
     "workers": 1,
-    "arith": FLOAT,
+    "arith": RunConfig.arithmetic,
     "role": None,
-    "feasibility_tol": 1e-7,
-    "integrality_tol": 1e-6,
-    "pivot_tol": 1e-9,
-    "node_limit": 1_000_000,
-    "epochs": 50,
-    "lr": 5e-3,
-    "batch_size": 10_000,
-    "patience": 5,
-    "layer_dims": "14,32,32,1",
+    "feasibility_tol": DEFAULT_TOLS.feasibility,
+    "integrality_tol": DEFAULT_TOLS.integrality,
+    "pivot_tol": DEFAULT_TOLS.pivot_zero,
+    "node_limit": NODE_LIMIT,
+    "epochs": Hyperparams.epochs,
+    "lr": Hyperparams.lr,
+    "batch_size": Hyperparams.batch_size,
+    "patience": Hyperparams.patience,
+    "layer_dims": ",".join(map(str, LAYER_DIMS)),
     "write_dataset": 1,
 }
 
@@ -136,8 +140,6 @@ class Settings:
 
 
 def _cast_like(default, raw: str):
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):
@@ -265,13 +267,9 @@ def _oracle_one(item):
     path, node_limit, tols = item
     lp, doc = load_instance(path)
     res = solve_ilp(lp, node_limit=node_limit, tols=tols)
-    entry = {
-        "status": res.status,
-        "value": None if res.value is None else float(res.value),
-        "x_int": None if res.x_int is None else [int(v) for v in res.x_int],
-        "nodes_explored": res.nodes_explored,
-        "proven": res.proven,
-    }
+    entry = {f.name: getattr(res, f.name) for f in fields(res)}
+    if res.x_int is not None:
+        entry["x_int"] = res.x_int.tolist()
     return doc["instance_id"], entry
 
 

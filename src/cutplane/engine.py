@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -255,91 +255,32 @@ def extend_curve(values: np.ndarray, length: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # trajectory (de)serialization
 # ---------------------------------------------------------------------------
+# The file layout is the fields of Trajectory, IterationRecord and Cut, plus
+# "format_version": renaming, adding or removing a field changes the format
+# and needs a TRAJECTORY_FORMAT_VERSION bump.
 
 
-def _cut_to_dict(c: Cut) -> dict:
-    return {
-        "alpha": [float(v) for v in c.alpha],
-        "beta": float(c.beta),
-        "id": c.id,
-        "born_iter": c.born_iter,
-        "kind": c.kind,
-        "basic_var": c.basic_var,
-        "row_norm": c.row_norm,
-        "frac_dist": c.frac_dist,
-    }
-
-
-def _cut_from_dict(d: dict) -> Cut:
-    return Cut(
-        alpha=np.array(d["alpha"], dtype=float),
-        beta=float(d["beta"]),
-        id=int(d["id"]),
-        born_iter=int(d["born_iter"]),
-        kind=d["kind"],
-        basic_var=d.get("basic_var"),
-        row_norm=d.get("row_norm"),
-        frac_dist=d.get("frac_dist"),
-    )
+def _fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict:
-    return {
-        "format_version": TRAJECTORY_FORMAT_VERSION,
-        "instance_id": traj.instance_id,
-        "policy_id": traj.policy_id,
-        "mode": traj.mode,
-        "status": traj.status,
-        "seed": traj.seed,
-        "arithmetic": traj.arithmetic,
-        "records": [
-            {
-                "k": r.k,
-                "lp_value": r.lp_value,
-                "pool_size": r.pool_size,
-                "n_active": r.n_active,
-                "active_ids": r.active_ids,
-                "pool_ids": r.pool_ids,
-                "selected_ids": r.selected_ids,
-                "removed_ids": r.removed_ids,
-                "x_star": r.x_star,
-                "pool_scores": r.pool_scores,
-            }
-            for r in traj.records
-        ],
-        "cuts": {str(i): _cut_to_dict(c) for i, c in sorted(traj.cuts.items())},
-    }
+    doc = _fields(traj)
+    doc["format_version"] = TRAJECTORY_FORMAT_VERSION
+    doc["records"] = [_fields(r) for r in traj.records]
+    doc["cuts"] = {str(i): {**_fields(c), "alpha": c.alpha.tolist(), "beta": float(c.beta)}
+                   for i, c in sorted(traj.cuts.items())}
+    return doc
 
 
 def trajectory_from_dict(doc: dict) -> Trajectory:
-    if doc.get("format_version") != TRAJECTORY_FORMAT_VERSION:
-        raise ValueError(f"unsupported trajectory format {doc.get('format_version')!r}")
-    records = [
-        IterationRecord(
-            k=r["k"],
-            lp_value=r["lp_value"],
-            pool_size=r["pool_size"],
-            n_active=r["n_active"],
-            active_ids=list(r["active_ids"]),
-            pool_ids=list(r["pool_ids"]),
-            selected_ids=list(r["selected_ids"]),
-            removed_ids=list(r["removed_ids"]),
-            x_star=list(r["x_star"]),
-            pool_scores=r.get("pool_scores"),
-        )
-        for r in doc["records"]
-    ]
-    cuts = {int(i): _cut_from_dict(d) for i, d in doc["cuts"].items()}
-    return Trajectory(
-        instance_id=doc["instance_id"],
-        policy_id=doc["policy_id"],
-        mode=doc["mode"],
-        status=doc["status"],
-        records=records,
-        cuts=cuts,
-        seed=doc.get("seed", 0),
-        arithmetic=doc.get("arithmetic", FLOAT),
-    )
+    doc = dict(doc)
+    version = doc.pop("format_version", None)
+    if version != TRAJECTORY_FORMAT_VERSION:
+        raise ValueError(f"unsupported trajectory format {version!r}")
+    doc["records"] = [IterationRecord(**r) for r in doc["records"]]
+    doc["cuts"] = {int(i): Cut(**d) for i, d in doc["cuts"].items()}
+    return Trajectory(**doc)
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
@@ -349,4 +290,8 @@ def save_trajectory(traj: Trajectory, path) -> None:
 
 def load_trajectory(path) -> Trajectory:
     with open(path) as fh:
-        return trajectory_from_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return trajectory_from_dict(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed trajectory file {path}: {exc}") from exc

@@ -82,7 +82,6 @@ class LinearProgram:
     A: np.ndarray
     b: np.ndarray
     senses: list[str]
-    var_nonneg: bool = True
     name: str = ""
 
     def __post_init__(self):
@@ -115,14 +114,6 @@ class LinearProgram:
         bad = set(self.senses) - {LE, GE, EQ}
         if bad:
             raise ValueError(f"unknown senses: {bad}")
-        if not self.var_nonneg:
-            raise ValueError("only nonnegative variables are supported")
-
-    def copy(self) -> "LinearProgram":
-        return LinearProgram(
-            self.objective.copy(), self.A.copy(), self.b.copy(), list(self.senses),
-            self.var_nonneg, self.name,
-        )
 
 
 @dataclass
@@ -137,7 +128,6 @@ class StandardForm:
 
     aug: np.ndarray
     rhs: np.ndarray
-    slack_offset: int
     row_of_slack: dict[int, int]
     num_vars: int
 
@@ -190,7 +180,7 @@ def to_standard_form(lp: LinearProgram) -> StandardForm:
     aug[ineq_rows, slack_cols] = 1.0
     rhs = np.where(ge, -lp.b, lp.b)
     row_of_slack = dict(zip(slack_cols.tolist(), ineq_rows.tolist()))
-    return StandardForm(aug=aug, rhs=rhs, slack_offset=n, row_of_slack=row_of_slack, num_vars=n)
+    return StandardForm(aug=aug, rhs=rhs, row_of_slack=row_of_slack, num_vars=n)
 
 
 def is_integral(x, tol: float = 1e-6) -> bool:

@@ -32,6 +32,8 @@ logger = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = 1
 TARGET_DENOM_FLOOR = 1e-6
+LAYER_DIMS = (NUM_FEATURES, 32, 32, 1)
+REPLAY_TOL = 1e-5
 
 
 class SchemaMismatch(ValueError):
@@ -43,7 +45,7 @@ class Diverged(RuntimeError):
 
 
 class ReplayMismatch(RuntimeError):
-    """Re-solved LP value disagrees with the trajectory record beyond 1e-5."""
+    """Re-solved LP value disagrees with the trajectory record beyond ``REPLAY_TOL``."""
 
 
 @dataclass
@@ -95,7 +97,7 @@ class TrainReport:
 
 
 def init_params(
-    layer_dims: Sequence[int] = (NUM_FEATURES, 32, 32, 1),
+    layer_dims: Sequence[int] = LAYER_DIMS,
     seed: int = 0,
     feat_mean: Optional[np.ndarray] = None,
     feat_std: Optional[np.ndarray] = None,
@@ -181,7 +183,7 @@ def train_sgd(
     dataset: Sequence[TrainSample],
     val: Sequence[TrainSample],
     hp: Hyperparams = Hyperparams(),
-    layer_dims: Sequence[int] = (NUM_FEATURES, 32, 32, 1),
+    layer_dims: Sequence[int] = LAYER_DIMS,
 ) -> tuple[MlpParams, TrainReport]:
     """Minibatch SGD on quadratic loss with validation-based early stopping.
 
@@ -267,12 +269,11 @@ def build_dataset(
     family: str = "",
     arithmetic: str = FLOAT,
     tols: Tolerances = DEFAULT_TOLS,
-    replay_tol: float = 1e-5,
 ) -> list[TrainSample]:
     """One sample per (iteration, candidate cut) across look-ahead trajectories.
 
     Each iteration k is replayed by re-solving (H u P_k); a disagreement with
-    the recorded value beyond ``replay_tol`` raises :class:`ReplayMismatch`.
+    the recorded value beyond ``REPLAY_TOL`` raises :class:`ReplayMismatch`.
     Pool cuts use the recorded one-cut-added LP values when present (they are
     the look-ahead scores) and are re-solved otherwise; cuts already active in
     P_k change nothing when re-added, so their label is exactly zero.
@@ -292,7 +293,7 @@ def build_dataset(
                 raise ReplayMismatch(
                     f"{traj.instance_id} iter {rec.k}: replayed LP is {sol.status}")
             vk = float(sol.value)
-            if abs(vk - rec.lp_value) > replay_tol:
+            if abs(vk - rec.lp_value) > REPLAY_TOL:
                 raise ReplayMismatch(
                     f"{traj.instance_id} iter {rec.k}: replayed value {vk} vs recorded {rec.lp_value}")
             denom = max(abs(vk), TARGET_DENOM_FLOOR)

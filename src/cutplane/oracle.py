@@ -51,6 +51,9 @@ ILP_OPTIMAL = "optimal"
 ILP_INFEASIBLE = "infeasible"
 ILP_NODE_LIMIT = "node_limit"
 
+# Default branch-and-bound node budget of solve_ilp (and of ``cutplane oracle``).
+NODE_LIMIT = 1_000_000
+
 
 class TooLarge(ValueError):
     """Enumeration box exceeds the supported size."""
@@ -72,29 +75,17 @@ def _check_integer_feasible(lp: LinearProgram, x: np.ndarray) -> bool:
         return False
     A = np.round(lp.A).astype(np.int64)
     b = np.round(lp.b).astype(np.int64)
-    if np.max(np.abs(lp.A - A)) > 0 or (len(lp.b) and np.max(np.abs(lp.b - b)) > 0):
+    if np.array_equal(A, lp.A) and np.array_equal(b, lp.b):
+        d, margin = A @ xi - b, 0
+    else:
         # Non-integer data, which generators never emit but an LP augmented
         # with cuts can hold: solve_ilp also receives H u P_k, and a cut that
         # generate_cutpool kept unsnapped (logged as a WARNING) has non-integer
-        # coefficients.  Check with a float tolerance instead.
-        lhs = lp.A @ x
-        for i, s in enumerate(lp.senses):
-            if s == LE and lhs[i] > lp.b[i] + 1e-7:
-                return False
-            if s == GE and lhs[i] < lp.b[i] - 1e-7:
-                return False
-            if s == "=" and abs(lhs[i] - lp.b[i]) > 1e-7:
-                return False
-        return True
-    lhs = A @ xi
-    for i, s in enumerate(lp.senses):
-        if s == LE and lhs[i] > b[i]:
-            return False
-        if s == GE and lhs[i] < b[i]:
-            return False
-        if s == "=" and lhs[i] != b[i]:
-            return False
-    return True
+        # coefficients.  Check with a float margin instead.
+        d, margin = lp.A @ x - lp.b, 1e-7
+    senses = np.array(lp.senses, dtype=str)
+    return not np.any(np.where(senses == LE, d > margin,
+                               np.where(senses == GE, d < -margin, np.abs(d) > margin)))
 
 
 def _solve_children(
@@ -126,8 +117,7 @@ def _solve_children(
 
 def solve_ilp(
     lp: LinearProgram,
-    node_limit: int = 1_000_000,
-    var_upper_bounds: Optional[Sequence[int]] = None,
+    node_limit: int = NODE_LIMIT,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> IlpResult:
     """Best-first branch and bound on LP relaxations.
@@ -139,31 +129,21 @@ def solve_ilp(
     """
     if node_limit < 1:
         raise ValueError("node_limit must be >= 1")
-    base = lp
-    if var_upper_bounds is not None:
-        ub = np.asarray(var_upper_bounds, dtype=float)
-        base = LinearProgram(
-            objective=lp.objective,
-            A=np.vstack([lp.A, np.eye(lp.num_vars)]),
-            b=np.concatenate([lp.b, ub]),
-            senses=list(lp.senses) + [LE] * lp.num_vars,
-            name=lp.name,
-        )
     c_integral = np.all(np.abs(lp.objective - np.round(lp.objective)) < 1e-9)
     itol = tols.integrality
 
     def node_lp(bounds):
-        """``base`` plus one row ``x_j (sense) value`` per branching bound."""
+        """``lp`` plus one row ``x_j (sense) value`` per branching bound."""
         if not bounds:
-            return base
+            return lp
         E = np.zeros((len(bounds), lp.num_vars))
         E[np.arange(len(bounds)), [j for j, _, _ in bounds]] = 1.0
         return LinearProgram(
-            objective=base.objective,
-            A=np.vstack([base.A, E]),
-            b=np.concatenate([base.b, [v for _, _, v in bounds]]),
-            senses=list(base.senses) + [s for _, s, _ in bounds],
-            name=base.name,
+            objective=lp.objective,
+            A=np.vstack([lp.A, E]),
+            b=np.concatenate([lp.b, [v for _, _, v in bounds]]),
+            senses=list(lp.senses) + [s for _, s, _ in bounds],
+            name=lp.name,
         )
 
     nodes = 0
@@ -171,7 +151,7 @@ def solve_ilp(
     incumbent_val = None
 
     try:
-        root = solve_lp(base, tols=tols)
+        root = solve_lp(lp, tols=tols)
     except CycleLimitExceeded:
         root = None
     nodes += 1

@@ -1,5 +1,7 @@
 """Cutting-plane loops: termination, monotonicity, budget bookkeeping, IGC."""
 
+import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from cutplane.engine import (
     INTEGRAL_FOUND,
     ITER_LIMIT,
     REMOVAL,
+    TRAJECTORY_FORMAT_VERSION,
     RunConfig,
     compute_igc,
     extend_curve,
@@ -24,7 +27,7 @@ from cutplane.engine import (
 from cutplane import engine
 from cutplane.gomory import BOUND, apply_cuts, ceil_snap, validate_cut
 from cutplane.instances import InstanceSpec, generate
-from cutplane.lp import LE, RATIONAL, LinearProgram, solve_lp
+from cutplane.lp import FLOAT, LE, RATIONAL, LinearProgram, solve_lp
 from cutplane.oracle import enumerate_integer_points, integer_box, solve_ilp
 from cutplane.policies import Policy
 
@@ -163,6 +166,56 @@ def test_run_policy_dispatch_and_roundtrip(tmp_path):
     save_trajectory(traj, path)
     back = load_trajectory(path)
     assert trajectory_to_dict(back) == trajectory_to_dict(traj)
+
+
+TOP_KEYS = {"format_version", "instance_id", "policy_id", "mode", "status", "seed",
+            "arithmetic", "records", "cuts"}
+RECORD_KEYS = {"k", "lp_value", "pool_size", "n_active", "active_ids", "pool_ids",
+               "selected_ids", "removed_ids", "x_star", "pool_scores"}
+CUT_KEYS = {"alpha", "beta", "id", "born_iter", "kind", "basic_var", "row_norm", "frac_dist"}
+
+
+@pytest.mark.parametrize("policy,arith", [("mv", FLOAT), ("remove-random", FLOAT),
+                                          ("remove-random", RATIONAL)])
+def test_trajectory_file_layout_and_byte_roundtrip(tmp_path, policy, arith):
+    """The file layout is the dataclasses' field names, pinned here: renaming or
+    adding a field fails this test and needs a TRAJECTORY_FORMAT_VERSION bump."""
+    cfg = RunConfig(max_iters=4, seed=3, arithmetic=arith, record_scores=True)
+    traj = run_policy(packing_lp(4), policy, cfg, instance_id="abc")
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_trajectory(traj, first)
+    save_trajectory(load_trajectory(first), second)
+    assert first.read_bytes() == second.read_bytes()
+    doc = json.loads(first.read_text())
+    assert set(doc) == TOP_KEYS
+    assert doc["format_version"] == TRAJECTORY_FORMAT_VERSION
+    assert doc["arithmetic"] == arith
+    assert len(doc["records"]) > 1 and all(set(r) == RECORD_KEYS for r in doc["records"])
+    assert doc["cuts"] and all(set(c) == CUT_KEYS for c in doc["cuts"].values())
+    kinds = {c["kind"] for c in doc["cuts"].values()}
+    assert (BOUND in kinds) == (policy == "remove-random")
+
+
+def _drop_first_cut_alpha(doc):
+    del next(iter(doc["cuts"].values()))["alpha"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc.update(extra=1),
+    lambda doc: doc.pop("instance_id"),
+    lambda doc: doc.pop("records"),
+    lambda doc: doc["records"][0].update(pivots=3),
+    lambda doc: doc["records"][0].pop("lp_value"),
+    _drop_first_cut_alpha,
+    lambda doc: doc.update(format_version=TRAJECTORY_FORMAT_VERSION + 1),
+])
+def test_malformed_trajectory_file_raises_value_error_naming_path(tmp_path, corrupt):
+    doc = trajectory_to_dict(run_policy(packing_lp(4), "remove-random", RunConfig(max_iters=2)))
+    corrupt(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_trajectory(path)
 
 
 def test_trajectories_deterministic():

@@ -178,8 +178,8 @@ def one_row_pool(a, b, caplog):
     """Pool of a hand-built tableau: x basic at 2.5 with slack entry 0.5 in the
     row x*a + s = b, so the eliminated cut is (a/2) x <= (b-1)/2."""
     lp = LinearProgram(objective=[-1.0], A=[[a]], b=[b], senses=[LE])
-    sf = StandardForm(aug=np.array([[a, 1.0]]), rhs=np.array([b]), slack_offset=1,
-                      row_of_slack={1: 0}, num_vars=1)
+    sf = StandardForm(aug=np.array([[a, 1.0]]), rhs=np.array([b]), row_of_slack={1: 0},
+                      num_vars=1)
     tab = SimplexTableau(basis=np.array([0]), matrix=np.array([[1.0, 0.5]]),
                          rhs=np.array([2.5]), reduced_costs=np.array([0.0, 1.0]))
     sol = LpSolution(OPTIMAL, x=np.array([2.5]), value=-2.5, tableau=tab)

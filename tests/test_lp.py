@@ -72,7 +72,7 @@ def random_lp(rng, n=None, m=None):
 def test_standard_form_single_le_row():
     lp = LinearProgram(objective=[1.0], A=[[1.0]], b=[4.0], senses=[LE])
     sf = to_standard_form(lp)
-    assert sf.slack_offset == 1
+    assert sf.num_vars == 1
     assert sf.aug.tolist() == [[1.0, 1.0]]
     assert sf.rhs.tolist() == [4.0]
     assert sf.row_of_slack == {1: 0}
@@ -82,7 +82,7 @@ def test_standard_form_empty():
     lp = LinearProgram(objective=[1.0, 2.0], A=np.zeros((0, 2)), b=[], senses=[])
     sf = to_standard_form(lp)
     assert sf.aug.shape == (0, 2)
-    assert sf.slack_offset == 2
+    assert sf.num_vars == 2
 
 
 def test_standard_form_identity_block():

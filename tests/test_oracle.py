@@ -6,6 +6,7 @@ import pytest
 from cutplane.lp import GE, LE, LinearProgram, solve_lp
 from cutplane.oracle import (
     ILP_INFEASIBLE,
+    ILP_NODE_LIMIT,
     ILP_OPTIMAL,
     IlpResult,
     TooLarge,
@@ -36,14 +37,18 @@ def test_integral_relaxation_returns_immediately():
     np.testing.assert_array_equal(res.x_int, [2, 3])
 
 
-def test_two_var_fractional_example():
+def two_var_lp():
     """min -x1-x2 s.t. 3x1+2x2<=6, -3x1+2x2<=0: LP optimum (1, 1.5), ILP optimum -2."""
-    lp = LinearProgram(
+    return LinearProgram(
         objective=[-1.0, -1.0],
         A=[[3.0, 2.0], [-3.0, 2.0]],
         b=[6.0, 0.0],
         senses=[LE, LE],
     )
+
+
+def test_two_var_fractional_example():
+    lp = two_var_lp()
     rel = solve_lp(lp)
     np.testing.assert_allclose(rel.x, [1.0, 1.5], atol=1e-9)
     res = solve_ilp(lp)
@@ -58,6 +63,13 @@ def test_two_var_fractional_example():
 def test_infeasible_ilp():
     lp = LinearProgram(objective=[1.0], A=[[1.0], [1.0]], b=[1.0, 3.0], senses=[LE, GE])
     assert solve_ilp(lp).status == ILP_INFEASIBLE
+
+
+def test_ilp_without_rows():
+    lp = LinearProgram(objective=[1.0, 2.0], A=np.zeros((0, 2)), b=[], senses=[])
+    res = solve_ilp(lp)
+    assert res.status == ILP_OPTIMAL and res.value == 0
+    np.testing.assert_array_equal(res.x_int, [0, 0])
 
 
 def test_enumerate_empty_region():
@@ -99,8 +111,27 @@ def test_bnb_matches_enumeration():
 
 
 def test_node_limit_flags_unproven():
-    rng = np.random.default_rng(5)
-    lp = small_random_ilp(rng, n_max=5)
-    res = solve_ilp(lp, node_limit=1)
+    """The two-variable example's root is fractional, so one node leaves it unproven."""
+    res = solve_ilp(two_var_lp(), node_limit=1)
     assert isinstance(res, IlpResult)
-    assert res.proven or res.status == ILP_OPTIMAL
+    assert res.status == ILP_NODE_LIMIT
+    assert res.proven is False
+    assert res.x_int is None
+    assert res.nodes_explored == 1
+
+
+def test_bnb_matches_milp_on_non_integer_data():
+    """One-decimal data takes the float branch of the integer-feasibility check,
+    the one that guards H u P_k holding unsnapped cuts; HiGHS is the referee."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        A = rng.integers(1, 31, size=(3, 4)) / 10
+        b = rng.integers(10, 101, size=3) / 10
+        c = -rng.integers(1, 31, size=4) / 10
+        lp = LinearProgram(objective=c, A=A, b=b, senses=[LE] * 3)
+        ref = optimize.milp(c, constraints=optimize.LinearConstraint(A, -np.inf, b),
+                           integrality=np.ones(4))
+        res = solve_ilp(lp)
+        assert res.status == ILP_OPTIMAL
+        assert res.value == pytest.approx(ref.fun, abs=1e-9)

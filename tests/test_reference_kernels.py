@@ -50,7 +50,7 @@ def reference_standard_form(lp):
             aug[i, next_slack] = 1.0
             row_of_slack[next_slack] = i
             next_slack += 1
-    return StandardForm(aug=aug, rhs=rhs, slack_offset=n, row_of_slack=row_of_slack, num_vars=n)
+    return StandardForm(aug=aug, rhs=rhs, row_of_slack=row_of_slack, num_vars=n)
 
 
 def reference_pivot(T, row, col, buf=None):  # buf: the solver passes one; unused here

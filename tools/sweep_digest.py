@@ -10,7 +10,9 @@ record's ``pool_scores`` removed.  Two checkouts that print the same lines
 produced byte-identical trajectories on this sweep, which is the check a
 refactor that must not change behaviour is held to: run it on both and diff
 the output.  A change that recomputes look-ahead values to within rounding
-shows, through the second digest, that no decision moved.
+shows, through the second digest, that no decision moved.  Each trajectory
+is digested after a JSON round trip through the trajectory codec; the script
+exits with status 1 if that round trip changes it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cutplane.engine import RunConfig, run_policy, trajectory_to_dict  # noqa: E402
+from cutplane.engine import (  # noqa: E402
+    RunConfig, run_policy, trajectory_from_dict, trajectory_to_dict)
 from cutplane.instances import FAMILIES, InstanceSpec, generate  # noqa: E402
 from cutplane.model import init_params  # noqa: E402
 from cutplane.policies import ADDITION_KINDS, REMOVAL_KINDS  # noqa: E402
@@ -49,10 +52,15 @@ def main(argv=None) -> int:
                 traj = run_policy(lp, policy, RunConfig(seed=args.seed, record_scores=True),
                                   instance_id=spec.instance_id, model=model)
                 doc = trajectory_to_dict(traj)
-                full = _digest(doc)
-                for rec in doc["records"]:
+                back = trajectory_to_dict(trajectory_from_dict(json.loads(json.dumps(doc))))
+                if back != doc:
+                    print(f"{family} {preset} {policy}: trajectory changed on a JSON round trip",
+                          file=sys.stderr)
+                    return 1
+                full = _digest(back)
+                for rec in back["records"]:
                     del rec["pool_scores"]
-                print(f"{family} {preset} {policy} {full} {_digest(doc)}")
+                print(f"{family} {preset} {policy} {full} {_digest(back)}")
     return 0
 
 
