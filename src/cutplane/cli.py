@@ -9,7 +9,8 @@ A flat key=value config file can stand in for any flag (flags win).  Keys
 beyond the flags: feasibility_tol, integrality_tol, pivot_tol, node_limit,
 epochs, lr, batch_size, patience, layer_dims, write_dataset, role.  A default
 the library also has is read from it (RunConfig, DEFAULT_TOLS, Hyperparams,
-model.LAYER_DIMS, oracle.NODE_LIMIT), not copied.
+model.LAYER_DIMS, oracle.NODE_LIMIT), not copied.  ``--arith`` is read by
+``collect`` and ``eval``; ``train`` replays each trajectory in its own.
 """
 
 from __future__ import annotations
@@ -392,10 +393,8 @@ def cmd_train(cfg: Settings) -> None:
     t0 = time.time()
     train_trajs, train_insts = _load_role(out, family, preset, "train")
     val_trajs, val_insts = _load_role(out, family, preset, "val")
-    train_set = build_dataset(train_trajs, train_insts, family=family,
-                              arithmetic=cfg.get("arith"), tols=tols)
-    val_set = build_dataset(val_trajs, val_insts, family=family,
-                            arithmetic=cfg.get("arith"), tols=tols)
+    train_set = build_dataset(train_trajs, train_insts, family=family, tols=tols)
+    val_set = build_dataset(val_trajs, val_insts, family=family, tols=tols)
     logger.info("dataset: %d train / %d val samples (%.1fs)",
                 len(train_set), len(val_set), time.time() - t0)
     hp = Hyperparams(

@@ -70,7 +70,7 @@ class CutPlaneState:
     In add-only mode ``x_star``/``lp_value`` belong to (H u P_k); in removal
     mode they belong to (H u P_k u C_k), the all-cuts LP of the iteration.
     ``solved`` holds that LP's standard form and optimal solution, as the
-    loop solved it: add look-ahead re-optimizes each pool cut into its float
+    loop solved it: add look-ahead re-optimizes each pool cut into its
     tableau, and leave-one-out scoring reads off its basis which candidates
     are slack.  ``None`` (a replayed or hand-built state) means every
     scoring LP is solved cold.  ``cfg`` is the run's configuration; scorers

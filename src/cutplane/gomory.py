@@ -23,7 +23,6 @@ import numpy as np
 
 from .lp import (
     DEFAULT_TOLS,
-    LE,
     LinearProgram,
     LpSolution,
     OPTIMAL,
@@ -199,15 +198,7 @@ def apply_cuts(lp: LinearProgram, cuts: Sequence[Cut]) -> LinearProgram:
     """The instance (H u P): base LP plus one <= row per cut."""
     if not cuts:
         return lp
-    extra = np.array([c.alpha for c in cuts])
-    rhs = np.array([c.beta for c in cuts])
-    return LinearProgram(
-        objective=lp.objective,
-        A=np.vstack([lp.A, extra]),
-        b=np.concatenate([lp.b, rhs]),
-        senses=list(lp.senses) + [LE] * len(cuts),
-        name=lp.name,
-    )
+    return lp.with_rows([c.alpha for c in cuts], [c.beta for c in cuts])
 
 
 def ceil_snap(value: float, tol: float = 1e-6) -> int:

@@ -112,10 +112,8 @@ def gen_bin_packing(n_vars: int, n_rows: int, seed: int) -> LinearProgram:
             A[int(rng.integers(n_rows)), j] = float(rng.integers(1, 6))
     b = rng.integers(n_vars, 2 * n_vars + 1, size=n_rows).astype(float)
     c = rng.integers(1, 11, size=n_vars).astype(float)
-    A_all = np.vstack([A, np.eye(n_vars)])
-    b_all = np.concatenate([b, np.ones(n_vars)])
-    return LinearProgram(objective=-c, A=A_all, b=b_all,
-                         senses=[LE] * (n_rows + n_vars))
+    return LinearProgram(objective=-c, A=A, b=b, senses=[LE] * n_rows).with_rows(
+        np.eye(n_vars), np.ones(n_vars))
 
 
 def gen_max_cut(n_nodes: int, n_edges: int, seed: int) -> LinearProgram:

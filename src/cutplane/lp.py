@@ -10,13 +10,15 @@ rules is exactly 0.  Exact mode checks the arithmetic of the float path, since
 both run the same pivot rules; brute-force vertex enumeration and HiGHS are the
 independent checks of the algorithm itself.
 
-Most LPs the package solves are an LP it has just solved plus a few rows: a
-pool cut for look-ahead scoring, a bound row for a branch-and-bound child.
-:func:`reoptimize` appends such rows to an optimal float tableau, each with
-its own +1 slack basic in its row, and runs dual-simplex pivots until the new
-rows are primal feasible (Bixby 2002, *Operations Research* 50(1)).  It works
-on a copy, and its columns are laid out exactly as ``to_standard_form`` lays
-out the bigger LP.  :func:`factorize` rebuilds an optimal tableau from a
+Most LPs the package solves are an LP it has just solved plus a few ``<=``
+rows ``alpha @ x <= beta``: a pool cut for look-ahead scoring, a bound row
+for a branch-and-bound child.  :meth:`LinearProgram.with_rows` is the one
+place such rows are appended to an LP.  :func:`reoptimize` appends them to an
+optimal tableau instead, each with its own +1 slack basic in its row, and
+runs dual-simplex pivots, in the tableau's own arithmetic, until the new rows
+are primal feasible (Bixby 2002, *Operations Research* 50(1)).  It works on a
+copy, and its columns are laid out exactly as ``to_standard_form`` lays out
+the bigger LP.  :func:`factorize` rebuilds an optimal float tableau from a
 stored basis, and :func:`solve_warm` re-optimizes with a cold-solve fallback
 that logs a WARNING with its reason.
 """
@@ -114,6 +116,13 @@ class LinearProgram:
         bad = set(self.senses) - {LE, GE, EQ}
         if bad:
             raise ValueError(f"unknown senses: {bad}")
+
+    def with_rows(self, alpha, beta) -> "LinearProgram":
+        """This LP plus the rows ``alpha @ x <= beta`` (one row: 1-D ``alpha``)."""
+        beta = np.atleast_1d(np.asarray(beta, dtype=float))
+        A = np.vstack([self.A, np.reshape(alpha, (-1, self.num_vars))])
+        return LinearProgram(self.objective, A, np.concatenate([self.b, beta]),
+                             self.senses + [LE] * beta.size, self.name)
 
 
 @dataclass
@@ -409,14 +418,14 @@ def _optimal_solution(T: np.ndarray, basis: np.ndarray, m: int, c: np.ndarray) -
 
 
 # ---------------------------------------------------------------------------
-# float64 re-optimization from a known basis
+# re-optimization from a known basis
 # ---------------------------------------------------------------------------
 
 
-def _dual_pivots_float(T, basis, m, tols, cycle_cap):
+def _dual_pivots(T, basis, m, tols, cycle_cap):
     """Dual simplex on a dual-feasible tableau: pivot the most negative basic
-    value out until none is below -pivot_zero."""
-    ptol = tols.pivot_zero
+    value out until none is below -pivot_zero (0 for an exact tableau)."""
+    ptol, _, tie, _ = _margins(T, tols)
     pivots = 0
     buf = np.empty_like(T)
     while True:
@@ -428,9 +437,9 @@ def _dual_pivots_float(T, basis, m, tols, cycle_cap):
         neg = (row < -ptol).nonzero()[0]
         if neg.size == 0:
             return INFEASIBLE  # the row's basic variable cannot be raised to zero
-        ratios = np.maximum(T[m, neg], 0.0) / -row[neg]
+        ratios = np.maximum(T[m, neg], 0) / -row[neg]
         best = ratios.min()
-        ties = neg[ratios <= best + 1e-9 * (1.0 + abs(best))]
+        ties = neg[ratios <= best + tie * (1 + abs(best))]
         j = int(ties[0]) if ties.size == 1 else int(ties[np.abs(row[ties]).argmax()])
         _pivot(T, i, j, buf)
         basis[i] = j
@@ -448,41 +457,47 @@ def reoptimize(
 ) -> LpSolution:
     """Optimum of ``sol``'s LP plus the rows ``alpha @ x <= beta``, by dual simplex.
 
-    ``sol`` must be an optimal float solution with a tableau; it is not
-    modified.  Row i of ``alpha`` gets slack column ``width + i``, where
-    ``width`` is the parent tableau's column count, as ``to_standard_form``
-    numbers the slacks of appended ``<=`` rows.  The parent basis stays dual
-    feasible, so dual pivots restore primal feasibility; a primal pass then
-    removes any reduced cost that noise left below -pivot_zero.  Returns
-    status INFEASIBLE when a violated row cannot be repaired, and raises
-    :class:`CycleLimitExceeded` after ``REOPT_CAP_FACTOR * (rows + columns)``
-    pivots.
+    ``sol`` must be an optimal solution with a tableau; it is not modified.
+    The re-optimization runs in the tableau's arithmetic: an exact tableau
+    converts ``objective``, ``alpha`` and ``beta`` to ``Fraction`` and gives
+    an exact optimum.  Row i of ``alpha`` gets slack column ``width + i``,
+    where ``width`` is the parent tableau's column count, as
+    ``to_standard_form`` numbers the slacks of appended ``<=`` rows.  The
+    parent basis stays dual feasible, so dual pivots restore primal
+    feasibility; a primal pass then removes any reduced cost that noise left
+    below -pivot_zero.  Returns status INFEASIBLE when a violated row cannot
+    be repaired, and raises :class:`CycleLimitExceeded` after
+    ``REOPT_CAP_FACTOR * (rows + columns)`` pivots.
     """
     tab = sol.tableau
-    if sol.status != OPTIMAL or tab is None or tab.exact:
-        raise ValueError("re-optimization needs an optimal float solution with a tableau")
+    if sol.status != OPTIMAL or tab is None:
+        raise ValueError("re-optimization needs an optimal solution with a tableau")
     c = np.asarray(objective, dtype=float)
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    if tab.exact:
+        c, alpha, beta = to_fractions(c), to_fractions(alpha), to_fractions(beta)
+    dtype = tab.matrix.dtype
+    zero, one = (Fraction(0), Fraction(1)) if tab.exact else (0.0, 1.0)
     m, width = tab.matrix.shape
     k = alpha.shape[0]
     mk = m + k
-    T = np.zeros((mk + 1, width + k + 1))
+    T = _zeros((mk + 1, width + k + 1), dtype)
     T[:m, :width] = tab.matrix
     T[:m, -1] = tab.rhs
     # Express each new row in the nonbasic columns: subtract its basic part.
-    rows = np.zeros((k, width))
+    rows = _zeros((k, width), dtype)
     rows[:, :c.shape[0]] = alpha
     coef = rows[:, tab.basis]
     T[m:mk, :width] = rows - coef @ tab.matrix
-    T[m:mk, tab.basis] = 0.0
+    T[m:mk, tab.basis] = zero
     T[m:mk, -1] = beta - coef @ tab.rhs
-    T[np.arange(m, mk), np.arange(width, width + k)] = 1.0
+    T[np.arange(m, mk), np.arange(width, width + k)] = one
     T[mk, :width] = tab.reduced_costs
-    T[mk, -1] = -float(sol.value)
+    T[mk, -1] = -sol.value
     basis = np.concatenate([tab.basis, np.arange(width, width + k)])
     cap = REOPT_CAP_FACTOR * (mk + width + k)
-    status = _dual_pivots_float(T, basis, mk, tols, cap)
+    status = _dual_pivots(T, basis, mk, tols, cap)
     if status == OPTIMAL:
         status = _run_pivots(T, basis, mk, tols, cap // 10, cap)
     if status != OPTIMAL:
@@ -534,25 +549,22 @@ def factorize(
 def solve_warm(
     lp: LinearProgram,
     parent: LpSolution,
-    new_rows: int,
+    alpha: np.ndarray,
+    beta: Sequence[float],
     tols: Tolerances = DEFAULT_TOLS,
 ) -> LpSolution:
-    """Solve ``lp``, which is ``parent``'s LP plus its last ``new_rows`` rows.
+    """Solve ``lp`` plus the rows ``alpha @ x <= beta``; ``parent`` is ``lp``'s optimum.
 
-    The rows (``<=`` or ``>=``, which is negated as ``to_standard_form``
-    does) are re-optimized into ``parent``'s tableau.  On the pivot cap or
-    any status but OPTIMAL, ``lp`` is solved cold.  A warm INFEASIBLE is thus
-    always confirmed by a cold solve: at DEBUG when the cold solve agrees,
-    with a WARNING naming both statuses when it does not.  The pivot cap and
-    any other status log a WARNING with the reason.
+    The rows are re-optimized into ``parent``'s tableau, in its arithmetic.
+    On the pivot cap or any status but OPTIMAL, the bigger LP
+    (``lp.with_rows(alpha, beta)``) is built and solved cold in that same
+    arithmetic.  A warm INFEASIBLE is thus always confirmed by a cold solve:
+    at DEBUG when the cold solve agrees, with a WARNING naming both statuses
+    when it does not.  The pivot cap and any other status log a WARNING with
+    the reason.
     """
-    senses = lp.senses[lp.num_rows - new_rows:]
-    if EQ in senses:
-        raise ValueError("only inequality rows can be re-optimized into a tableau")
-    sign = np.array([-1.0 if s == GE else 1.0 for s in senses])
-    alpha = sign[:, None] * lp.A[lp.num_rows - new_rows:]
-    beta = sign * lp.b[lp.num_rows - new_rows:]
     name = lp.name or "LP"
+    mode = RATIONAL if parent.tableau.exact else FLOAT
     try:
         warm = reoptimize(parent, lp.objective, alpha, beta, tols)
     except CycleLimitExceeded as exc:
@@ -561,7 +573,7 @@ def solve_warm(
         if warm.status == OPTIMAL:
             return warm
         if warm.status == INFEASIBLE:
-            cold = solve_lp(lp, tols=tols)
+            cold = solve_lp(lp.with_rows(alpha, beta), mode, tols)
             if cold.status == INFEASIBLE:
                 logger.debug("%s: warm re-optimization ended infeasible; confirmed cold", name)
             else:
@@ -570,4 +582,4 @@ def solve_warm(
             return cold
         reason = f"ended {warm.status}"
     logger.warning("%s: warm re-optimization %s; solving cold", name, reason)
-    return solve_lp(lp, tols=tols)
+    return solve_lp(lp.with_rows(alpha, beta), mode, tols)

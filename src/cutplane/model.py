@@ -23,7 +23,7 @@ import numpy as np
 
 from .features import FEATURE_NAMES, NUM_FEATURES, encode
 from .gomory import CutPool, apply_cuts
-from .lp import DEFAULT_TOLS, FLOAT, OPTIMAL, LinearProgram, Tolerances, solve_lp
+from .lp import DEFAULT_TOLS, OPTIMAL, LinearProgram, Tolerances, solve_lp
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import CutPlaneState, Trajectory
@@ -267,12 +267,12 @@ def build_dataset(
     trajectories: Iterable["Trajectory"],
     instances: Mapping[str, LinearProgram],
     family: str = "",
-    arithmetic: str = FLOAT,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> list[TrainSample]:
     """One sample per (iteration, candidate cut) across look-ahead trajectories.
 
-    Each iteration k is replayed by re-solving (H u P_k); a disagreement with
+    Each iteration k is replayed by re-solving (H u P_k) in the trajectory's
+    own arithmetic (``traj.arithmetic``); a disagreement with
     the recorded value beyond ``REPLAY_TOL`` raises :class:`ReplayMismatch`.
     Pool cuts use the recorded one-cut-added LP values when present (they are
     the look-ahead scores) and are re-solved otherwise; cuts already active in
@@ -288,7 +288,7 @@ def build_dataset(
             active = [traj.cuts[i] for i in rec.active_ids]
             pool_cuts = [traj.cuts[i] for i in pool_ids]
             lp_k = apply_cuts(lp, active)
-            sol = solve_lp(lp_k, mode=arithmetic, tols=tols)
+            sol = solve_lp(lp_k, mode=traj.arithmetic, tols=tols)
             if sol.status != OPTIMAL:
                 raise ReplayMismatch(
                     f"{traj.instance_id} iter {rec.k}: replayed LP is {sol.status}")
@@ -303,7 +303,7 @@ def build_dataset(
                 if raw is not None and raw[idx] is not None and math.isfinite(raw[idx]):
                     with_cut = float(raw[idx])
                 else:
-                    s = solve_lp(apply_cuts(lp_k, [cut]), mode=arithmetic, tols=tols)
+                    s = solve_lp(apply_cuts(lp_k, [cut]), mode=traj.arithmetic, tols=tols)
                     if s.status != OPTIMAL:
                         continue
                     with_cut = float(s.value)

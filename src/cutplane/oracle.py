@@ -5,15 +5,18 @@ it supplies the integrality-gap denominator z*_int and certifies that cuts do
 not touch the integer optimum.  Correctness, not speed, is the contract; the
 search is best-first on the LP bound with most-fractional branching.
 
-The root relaxation is solved cold.  A child is its parent plus one bound
-row, so it is re-optimized by dual simplex from the parent's tableau
-(``lp.reoptimize``).  The heap stores each open node's optimal basis, not its
-tableau, which keeps memory at one basis per node.  When a node is popped,
-its tableau is rebuilt once by factorizing its standard form at that basis,
-and both children start from it.  A basis that does not refactorize, a warm
-solve that hits the pivot cap or ends other than optimal (a warm INFEASIBLE
-included) falls back to a cold solve with a WARNING, so numerical trouble can
-never prune the optimum.
+The root relaxation is solved cold.  A branching bound is a ``<=`` row,
+``x_j <= floor(v)`` or ``-x_j <= -ceil(v)``; a child is its parent plus one,
+re-optimized by dual simplex from the parent's tableau (``lp.solve_warm``).
+The heap stores each open node's optimal basis and ``(j, sign, beta)``
+bounds, not its tableau or LP.  A popped node's LP is rebuilt from its
+bounds and its tableau by factorizing at that basis; both children start
+from it.  A child's LP is built only for a cold solve: when the basis does
+not refactorize, or a warm solve hits the pivot cap or ends other than
+optimal (a warm INFEASIBLE included), each with a WARNING.  A node whose
+cold solve also hits the pivot cap is lost: the search logs one WARNING
+naming the instance and returns ``proven=False``, so numerical trouble can
+never prune the optimum unnoticed.
 """
 
 from __future__ import annotations
@@ -88,13 +91,23 @@ def _check_integer_feasible(lp: LinearProgram, x: np.ndarray) -> bool:
                                np.where(senses == GE, d < -margin, np.abs(d) > margin)))
 
 
+def _bound_rows(n: int, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``sign * x_j <= beta`` of ``(j, sign, beta)`` bounds, as (alpha, beta)."""
+    alpha = np.zeros((len(bounds), n))
+    for i, (j, sign, _) in enumerate(bounds):
+        alpha[i, j] = sign
+    return alpha, np.array([beta for _, _, beta in bounds], dtype=float)
+
+
 def _solve_children(
     parent_lp: LinearProgram,
     basis: np.ndarray,
-    children: Sequence[LinearProgram],
+    alpha: np.ndarray,
+    beta: np.ndarray,
     tols: Tolerances,
 ) -> list[Optional[LpSolution]]:
-    """Solve each child (``parent_lp`` plus one bound row) warm from ``basis``.
+    """Solve each child, ``parent_lp`` plus the row ``alpha[i] @ x <= beta[i]``,
+    warm from ``basis``.
 
     The parent's tableau is rebuilt once at ``basis``; if that fails, one
     WARNING is logged and every child is solved cold.  ``None`` marks a child
@@ -106,10 +119,10 @@ def _solve_children(
         logger.warning("B&B node basis does not refactorize (%s); solving its children cold", exc)
         parent = None
     out = []
-    for child in children:
+    for a, b in zip(alpha, beta):
         try:
-            out.append(solve_lp(child, tols=tols) if parent is None
-                       else solve_warm(child, parent, 1, tols))
+            out.append(solve_lp(parent_lp.with_rows(a, b), tols=tols) if parent is None
+                       else solve_warm(parent_lp, parent, a, b, tols))
         except CycleLimitExceeded:
             out.append(None)
     return out
@@ -125,39 +138,24 @@ def solve_ilp(
     Branches on the most-fractional variable; when the objective vector is
     integral the LP bound is rounded up before pruning, which is what makes
     exact optimality on integer-data instances cheap to certify.  Children
-    are re-optimized from their parent's basis (see the module docstring).
+    are re-optimized from their parent's basis, and a node lost to the pivot
+    cap leaves the result unproven (see the module docstring).
     """
     if node_limit < 1:
         raise ValueError("node_limit must be >= 1")
     c_integral = np.all(np.abs(lp.objective - np.round(lp.objective)) < 1e-9)
     itol = tols.integrality
 
-    def node_lp(bounds):
-        """``lp`` plus one row ``x_j (sense) value`` per branching bound."""
-        if not bounds:
-            return lp
-        E = np.zeros((len(bounds), lp.num_vars))
-        E[np.arange(len(bounds)), [j for j, _, _ in bounds]] = 1.0
-        return LinearProgram(
-            objective=lp.objective,
-            A=np.vstack([lp.A, E]),
-            b=np.concatenate([lp.b, [v for _, _, v in bounds]]),
-            senses=list(lp.senses) + [s for _, s, _ in bounds],
-            name=lp.name,
-        )
-
-    nodes = 0
+    nodes = 1
+    lost = 0
     incumbent_x = None
     incumbent_val = None
 
     try:
         root = solve_lp(lp, tols=tols)
     except CycleLimitExceeded:
-        root = None
-    nodes += 1
-    if root is None or root.status == INFEASIBLE:
-        return IlpResult(ILP_INFEASIBLE, nodes_explored=nodes)
-    if root.status == UNBOUNDED:
+        root, lost = None, 1
+    if root is not None and root.status == UNBOUNDED:
         raise ValueError("ILP relaxation is unbounded; generators must produce bounded instances")
 
     counter = 0
@@ -177,7 +175,8 @@ def solve_ilp(
         counter += 1
         heapq.heappush(heap, (sol.value, counter, sol.x.copy(), sol.tableau.basis.copy(), bounds))
 
-    push(root, ())
+    if root is not None and root.status == OPTIMAL:
+        push(root, ())
     limit_hit = False
     while heap:
         bound, _, x, basis, bounds = heapq.heappop(heap)
@@ -191,31 +190,26 @@ def solve_ilp(
         frac = np.abs(x - np.round(x))
         j = int(np.argmax(frac))
         v = x[j]
-        kids = (bounds + ((j, LE, float(math.floor(v))),),
-                bounds + ((j, GE, float(math.ceil(v))),))
-        sols = _solve_children(node_lp(bounds), basis, [node_lp(kid) for kid in kids], tols)
+        kids = ((j, 1.0, float(math.floor(v))), (j, -1.0, -float(math.ceil(v))))
+        node = lp.with_rows(*_bound_rows(lp.num_vars, bounds))
+        sols = _solve_children(node, basis, *_bound_rows(lp.num_vars, kids), tols)
         for kid, child in zip(kids, sols):
             nodes += 1
+            lost += child is None
             if child is None or child.status != OPTIMAL:
                 continue
             if incumbent_val is not None:
                 eff = ceil_snap(child.value, itol) if c_integral else child.value
                 if eff >= incumbent_val:
                     continue
-            push(child, kid)
+            push(child, bounds + (kid,))
 
-    if incumbent_x is None:
-        if limit_hit:
-            return IlpResult(ILP_NODE_LIMIT, nodes_explored=nodes, proven=False)
-        return IlpResult(ILP_INFEASIBLE, nodes_explored=nodes)
-    status = ILP_NODE_LIMIT if limit_hit else ILP_OPTIMAL
-    return IlpResult(
-        status=status,
-        x_int=incumbent_x,
-        value=incumbent_val,
-        nodes_explored=nodes,
-        proven=not limit_hit,
-    )
+    if lost:
+        logger.warning("%s: %d B&B node(s) lost to the pivot cap; result not proven",
+                       lp.name or "ILP", lost)
+    status = (ILP_NODE_LIMIT if limit_hit else
+              ILP_INFEASIBLE if incumbent_x is None else ILP_OPTIMAL)
+    return IlpResult(status, incumbent_x, incumbent_val, nodes, proven=not (limit_hit or lost))
 
 
 def integer_box(lp: LinearProgram, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:

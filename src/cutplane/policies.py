@@ -17,7 +17,7 @@ import numpy as np
 
 from .features import encode_many
 from .gomory import Cut, CutPool, apply_cuts
-from .lp import FLOAT, CycleLimitExceeded, OPTIMAL, solve_lp, solve_warm
+from .lp import CycleLimitExceeded, OPTIMAL, solve_lp, solve_warm
 from .model import MlpParams, forward
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,17 +67,14 @@ class Policy:
         self._rng = np.random.default_rng(self.rng_seed)
 
 
-def _solve_value(lp, state, parent=None) -> float:
-    """LP value of an augmented instance, or -inf on solver failure (logged).
-
-    With ``parent``, the optimum of ``lp`` minus its last row, the value is
-    re-optimized from it (cold on fallback).
-    """
+def _solve_value(lp, state, cut: Optional[Cut] = None) -> float:
+    """LP value of ``lp`` solved cold, or of ``lp`` plus ``cut``'s row re-optimized
+    from ``state.solved``, ``lp``'s optimum; -inf on solver failure (logged)."""
     try:
-        if parent is None:
+        if cut is None:
             sol = solve_lp(lp, mode=state.cfg.arithmetic, tols=state.cfg.tols)
         else:
-            sol = solve_warm(lp, parent, 1, state.cfg.tols)
+            sol = solve_warm(lp, state.solved[1], cut.alpha, cut.beta, state.cfg.tols)
     except CycleLimitExceeded as exc:
         logger.warning("scoring LP hit the pivot cap: %s", exc)
         return -math.inf
@@ -90,14 +87,14 @@ def _solve_value(lp, state, parent=None) -> float:
 def lookahead_add_scores(pool: CutPool, state: "CutPlaneState") -> np.ndarray:
     """Score of a cut = LP value of (H u P_k u {cut}); one LP per cut.
 
-    In float mode with ``state.solved`` set, each cut is re-optimized into
-    the tableau of (H u P_k); otherwise every LP is solved cold.
+    With ``state.solved`` set, the optimum of (H u P_k), each cut's row is
+    re-optimized into its tableau, in the run's arithmetic; a hand-built or
+    replayed state (``solved=None``) solves every LP cold.
     """
     base = apply_cuts(state.base, state.active_cuts)
-    parent = None
-    if state.solved is not None and state.cfg.arithmetic == FLOAT:
-        parent = state.solved[1]
-    return np.array([_solve_value(apply_cuts(base, [c]), state, parent) for c in pool.cuts])
+    if state.solved is None:
+        return np.array([_solve_value(apply_cuts(base, [c]), state) for c in pool.cuts])
+    return np.array([_solve_value(base, state, c) for c in pool.cuts])
 
 
 def _basic_slack_mask(candidates: Sequence[Cut], state: "CutPlaneState") -> np.ndarray:

@@ -5,7 +5,8 @@ import pytest
 
 from cutplane.engine import RunConfig, run_add_only
 from cutplane.gomory import apply_cuts
-from cutplane.lp import LE, LinearProgram, solve_lp
+from cutplane import model
+from cutplane.lp import DEFAULT_TOLS, FLOAT, LE, RATIONAL, LinearProgram, solve_lp
 from cutplane.model import (
     ReplayMismatch,
     build_dataset,
@@ -98,3 +99,20 @@ def test_dataset_file_round_trip(tmp_path, lookahead_traj):
         np.testing.assert_array_equal(a.features, b.features)
         assert a.target == b.target
         assert (a.family, a.instance_id, a.iteration) == (b.family, b.instance_id, b.iteration)
+
+
+def test_replays_each_trajectory_in_its_own_arithmetic(monkeypatch):
+    """A rational trajectory is replayed in exact arithmetic, without an option saying so."""
+    lp = packing_lp(11)
+    traj = run_add_only(lp, Policy("lookahead"), RunConfig(max_iters=3, arithmetic=RATIONAL),
+                        instance_id="p11")
+    real = model.solve_lp
+    modes = []
+
+    def spy(lp, mode=FLOAT, tols=DEFAULT_TOLS):
+        modes.append(mode)
+        return real(lp, mode, tols)
+
+    monkeypatch.setattr(model, "solve_lp", spy)
+    assert build_dataset([traj], {"p11": lp}, family="packing")
+    assert modes and set(modes) == {RATIONAL}

@@ -2,6 +2,7 @@
 
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from cutplane.engine import RunConfig, run_policy
 from cutplane.gomory import apply_cuts, generate_cutpool
 from cutplane.instances import FAMILIES, InstanceSpec, generate
 from cutplane.lp import (
+    FLOAT,
     GE,
     INFEASIBLE,
     LE,
     OPTIMAL,
+    RATIONAL,
     CycleLimitExceeded,
     LinearProgram,
     factorize,
@@ -26,6 +29,8 @@ from cutplane.lp import (
     to_standard_form,
 )
 from cutplane.oracle import integer_box, solve_ilp
+
+from test_lp import assert_exact_optimum
 
 SEEDS = (1, 2, 3)
 
@@ -51,16 +56,22 @@ def warm_bound(parent_sol, lp, j, sense, value):
     return reoptimize(parent_sol, lp.objective, alpha, [sign * value])
 
 
-@pytest.mark.parametrize("preset", ["small", "train"])
-def test_pool_cut_rows_warm_equals_cold(preset):
-    """Every pool cut of the first two add-only iterations, one row at a time."""
+@pytest.mark.parametrize("preset, mode", [pytest.param("small", FLOAT, id="small"),
+                                           pytest.param("train", FLOAT, id="train"),
+                                           pytest.param("tiny", RATIONAL, id="tiny-rational")])
+def test_pool_cut_rows_warm_equals_cold(preset, mode):
+    """Every pool cut of the first two add-only iterations, one row at a time.
+
+    An exact tableau re-optimizes exactly: the warm optimum equals the cold
+    one as a ``Fraction`` and holds only ``Fraction`` entries.
+    """
     for family in FAMILIES:
         lp = generate(InstanceSpec(family, preset, 1))
         active = []
         for k in (1, 2):
             lp_k = apply_cuts(lp, active)
             sf = to_standard_form(lp_k)
-            sol = solve_simplex(sf, lp_k.objective)
+            sol = solve_simplex(sf, lp_k.objective, mode)
             assert sol.status == OPTIMAL
             pool = generate_cutpool(sol, sf, lp_k, born_iter=k)
             if not pool.cuts:
@@ -68,8 +79,12 @@ def test_pool_cut_rows_warm_equals_cold(preset):
             for cut in pool.cuts:
                 bigger = apply_cuts(lp_k, [cut])
                 warm = reoptimize(sol, lp_k.objective, cut.alpha, [cut.beta])
-                assert_same_solve(warm, solve_lp(bigger))
+                cold = solve_lp(bigger, mode)
+                assert_same_solve(warm, cold)
                 assert warm.tableau.matrix.shape[1] == to_standard_form(bigger).width
+                if mode == RATIONAL:
+                    assert warm.value == cold.value
+                    assert_exact_optimum(warm, lp)
             active.append(pool.cuts[0])
 
 
@@ -139,7 +154,7 @@ def test_pivot_cap_falls_back_to_cold(caplog, monkeypatch):
     with pytest.raises(CycleLimitExceeded):
         reoptimize(solve_lp(lp), lp.objective, [0.0, 1.0], [1.0])
     with caplog.at_level(logging.WARNING, logger="cutplane"):
-        sol = solve_warm(child, solve_lp(lp), 1)
+        sol = solve_warm(lp, solve_lp(lp), [0.0, 1.0], [1.0])
     assert len(warnings_of(caplog)) == 1
     assert "pivot cap" in warnings_of(caplog)[0].getMessage()
     cold = solve_lp(child)
@@ -153,7 +168,7 @@ def test_warm_infeasible_child_is_confirmed_cold(caplog):
     child = with_bound(lp, 0, GE, 3.0)  # 3x1 <= 6 allows x1 <= 2 only
     assert reoptimize(solve_lp(lp), lp.objective, [-1.0, 0.0], [-3.0]).status == INFEASIBLE
     with caplog.at_level(logging.DEBUG, logger="cutplane"):
-        sol = solve_warm(child, solve_lp(lp), 1)
+        sol = solve_warm(lp, solve_lp(lp), [-1.0, 0.0], [-3.0])  # the row -x_0 <= -3
     assert sol.status == INFEASIBLE == solve_lp(child).status
     assert warnings_of(caplog) == []
     debug = [r for r in caplog.records if r.levelno == logging.DEBUG]
@@ -167,7 +182,7 @@ def test_warm_infeasible_contradicted_cold_warns(caplog, monkeypatch):
     child = with_bound(lp, 1, LE, 1.0)
     monkeypatch.setattr(lp_mod, "reoptimize", lambda *args, **kwargs: lp_mod.LpSolution(INFEASIBLE))
     with caplog.at_level(logging.DEBUG, logger="cutplane"):
-        sol = solve_warm(child, solve_lp(lp), 1)
+        sol = solve_warm(lp, solve_lp(lp), [0.0, 1.0], [1.0])
     cold = solve_lp(child)
     assert cold.status == OPTIMAL
     assert sol.status == OPTIMAL and sol.value == cold.value
@@ -177,18 +192,67 @@ def test_warm_infeasible_contradicted_cold_warns(caplog, monkeypatch):
     assert "ended infeasible" in message and "ended optimal" in message
 
 
+def test_exact_parent_falls_back_to_exact_cold(caplog, monkeypatch):
+    """With re-optimization refused, an exact parent's child is solved cold in Fractions."""
+    lp = two_var_lp()
+    child = with_bound(lp, 1, LE, 1.0)
+    parent = solve_lp(lp, RATIONAL)
+    warm = reoptimize(parent, lp.objective, [0.0, 1.0], [1.0])
+    cold = solve_lp(child, RATIONAL)
+    assert warm.value == cold.value == Fraction(-7, 3)
+    assert_exact_optimum(warm, child)
+    slack = reoptimize(parent, lp.objective, [0.0, 1.0], [5.0])  # needs no pivot
+    assert slack.value == parent.value
+    assert_exact_optimum(slack, lp)
+
+    def refuse(*args, **kwargs):
+        raise CycleLimitExceeded("forced fallback")
+
+    monkeypatch.setattr(lp_mod, "reoptimize", refuse)
+    with caplog.at_level(logging.WARNING, logger="cutplane"):
+        sol = solve_warm(lp, parent, [0.0, 1.0], [1.0])
+    assert len(warnings_of(caplog)) == 1
+    assert sol.status == OPTIMAL and sol.value == cold.value
+    assert_exact_optimum(sol, child)
+
+
 @pytest.mark.parametrize("basis", [[0, 0], [0, 1, 2]], ids=["singular", "wrong-size"])
 def test_bad_basis_solves_children_cold(caplog, basis):
     lp = two_var_lp()
     children = [with_bound(lp, 1, LE, 1.0), with_bound(lp, 1, GE, 2.0)]
+    alpha, beta = np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([1.0, -2.0])
     with caplog.at_level(logging.WARNING, logger="cutplane"):
-        sols = oracle._solve_children(lp, np.array(basis), children, lp_mod.DEFAULT_TOLS)
+        sols = oracle._solve_children(lp, np.array(basis), alpha, beta, lp_mod.DEFAULT_TOLS)
     assert len(warnings_of(caplog)) == 1
     assert "refactorize" in warnings_of(caplog)[0].getMessage()
     for sol, child in zip(sols, children):
         cold = solve_lp(child)
         assert sol.status == cold.status and sol.value == cold.value
         np.testing.assert_array_equal(sol.x, cold.x)
+
+
+@pytest.mark.parametrize("root_capped", [False, True], ids=["children", "root"])
+def test_nodes_lost_to_pivot_cap_leave_result_unproven(caplog, monkeypatch, root_capped):
+    """Children (or the root) whose warm and cold solves both hit the pivot cap
+    are lost: one WARNING naming the instance, and never a proven result."""
+    lp = two_var_lp()
+    real = lp_mod.solve_simplex
+    calls = []
+
+    def capped(*args, **kwargs):
+        calls.append(1)
+        if root_capped or len(calls) > 1:
+            raise CycleLimitExceeded("forced")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp_mod, "solve_simplex", capped)
+    monkeypatch.setattr(lp_mod, "REOPT_CAP_FACTOR", 0)
+    with caplog.at_level(logging.WARNING, logger="cutplane"):
+        res = solve_ilp(lp)
+    assert res.proven is False
+    lost = [r for r in warnings_of(caplog) if r.name == "cutplane.oracle"]
+    assert len(lost) == 1
+    assert "two-var" in lost[0].getMessage() and "pivot cap" in lost[0].getMessage()
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,13 @@ Runs every policy on one instance of each family at the ``tiny`` and
 ``small`` presets; the two neural policies score with the untrained model
 ``init_params(seed=0)``.  The first digest covers the whole
 trajectory; the second covers its decisions, the trajectory with every
-record's ``pool_scores`` removed.  Two checkouts that print the same lines
-produced byte-identical trajectories on this sweep, which is the check a
-refactor that must not change behaviour is held to: run it on both and diff
-the output.  A change that recomputes look-ahead values to within rounding
+record's ``pool_scores`` removed.  One more line per family and preset,
+``<family> <preset> oracle <sha256>``, digests the branch-and-bound result
+``solve_ilp`` gives on the instance: its status, value, node count and
+integer point.  Two checkouts that print the same lines produced
+byte-identical trajectories and oracle results on this sweep, which is the
+check a refactor that must not change behaviour is held to: run it on both
+and diff the output.  A change that recomputes look-ahead values to within rounding
 shows, through the second digest, that no decision moved.  Each trajectory
 is digested after a JSON round trip through the trajectory codec; the script
 exits with status 1 if that round trip changes it.
@@ -29,13 +32,14 @@ from cutplane.engine import (  # noqa: E402
     RunConfig, run_policy, trajectory_from_dict, trajectory_to_dict)
 from cutplane.instances import FAMILIES, InstanceSpec, generate  # noqa: E402
 from cutplane.model import init_params  # noqa: E402
+from cutplane.oracle import solve_ilp  # noqa: E402
 from cutplane.policies import ADDITION_KINDS, REMOVAL_KINDS  # noqa: E402
 
 PRESETS = ("tiny", "small")
 POLICIES = ADDITION_KINDS + REMOVAL_KINDS
 
 
-def _digest(doc: dict) -> str:
+def _digest(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
@@ -61,6 +65,10 @@ def main(argv=None) -> int:
                 for rec in back["records"]:
                     del rec["pool_scores"]
                 print(f"{family} {preset} {policy} {full} {_digest(back)}")
+            res = solve_ilp(lp)
+            x_int = None if res.x_int is None else res.x_int.tolist()
+            print(f"{family} {preset} oracle "
+                  f"{_digest([res.status, res.value, res.nodes_explored, x_int])}")
     return 0
 
 
