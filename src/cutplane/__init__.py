@@ -17,7 +17,6 @@ from .lp import (
     LpSolution,
     SimplexTableau,
     StandardForm,
-    Tolerances,
     is_integral,
     solve_lp,
     solve_simplex,

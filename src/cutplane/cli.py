@@ -6,10 +6,10 @@ printed with repr, and wall-clock timings go to the log, never into output
 files, so re-runs are byte-identical.
 
 A flat key=value config file can stand in for any flag (flags win).  Keys
-beyond the flags: feasibility_tol, integrality_tol, pivot_tol, node_limit,
-epochs, lr, batch_size, patience, layer_dims, write_dataset, role.  A default
-the library also has is read from it (RunConfig, DEFAULT_TOLS, Hyperparams,
-model.LAYER_DIMS, oracle.NODE_LIMIT), not copied.  ``--arith`` is read by
+beyond the flags: node_limit, epochs, lr, batch_size, patience, layer_dims.
+A default the library also has is read from it (RunConfig, Hyperparams,
+model.LAYER_DIMS, oracle.NODE_LIMIT), not copied; the solver tolerances are
+constants of ``cutplane.lp``, not settings.  ``--arith`` is read by
 ``collect`` and ``eval``; ``train`` replays each trajectory in its own.
 """
 
@@ -38,7 +38,7 @@ from .engine import (
     save_trajectory,
 )
 from .instances import FAMILIES, InstanceSpec, PRESETS, generate, load_instance, save_instance
-from .lp import DEFAULT_TOLS, FLOAT, OPTIMAL, RATIONAL, Tolerances, solve_lp
+from .lp import FLOAT, OPTIMAL, RATIONAL, solve_lp
 from .model import (
     LAYER_DIMS,
     Hyperparams,
@@ -69,16 +69,12 @@ DEFAULTS = {
     "workers": 1,
     "arith": RunConfig.arithmetic,
     "role": None,
-    "feasibility_tol": DEFAULT_TOLS.feasibility,
-    "integrality_tol": DEFAULT_TOLS.integrality,
-    "pivot_tol": DEFAULT_TOLS.pivot_zero,
     "node_limit": NODE_LIMIT,
     "epochs": Hyperparams.epochs,
     "lr": Hyperparams.lr,
     "batch_size": Hyperparams.batch_size,
     "patience": Hyperparams.patience,
     "layer_dims": ",".join(map(str, LAYER_DIMS)),
-    "write_dataset": 1,
 }
 
 
@@ -146,14 +142,6 @@ def _cast_like(default, raw: str):
     if isinstance(default, float):
         return float(raw)
     return raw
-
-
-def tolerances(cfg: Settings) -> Tolerances:
-    return Tolerances(
-        feasibility=float(cfg.get("feasibility_tol")),
-        integrality=float(cfg.get("integrality_tol")),
-        pivot_zero=float(cfg.get("pivot_tol")),
-    )
 
 
 def parse_counts(text) -> dict[str, int]:
@@ -234,7 +222,6 @@ def cmd_gen(cfg: Settings) -> None:
     counts = parse_counts(cfg.get("count"))
     base_seed = int(cfg.get("seed"))
     out = Path(cfg.get("out"))
-    tols = tolerances(cfg)
     redraws = 0
     t0 = time.time()
     for role in ROLES:
@@ -248,7 +235,7 @@ def cmd_gen(cfg: Settings) -> None:
                 seed = base_seed + ROLE_OFFSETS[role] + i + attempt * RETRY_STRIDE
                 spec = InstanceSpec(family, preset, seed)
                 lp = generate(spec)
-                if solve_lp(lp, tols=tols).status == OPTIMAL:
+                if solve_lp(lp).status == OPTIMAL:
                     break
                 redraws += 1
                 logger.warning("infeasible/unbounded draw for %s, retrying", spec.instance_id)
@@ -265,9 +252,9 @@ def cmd_gen(cfg: Settings) -> None:
 
 
 def _oracle_one(item):
-    path, node_limit, tols = item
+    path, node_limit = item
     lp, doc = load_instance(path)
-    res = solve_ilp(lp, node_limit=node_limit, tols=tols)
+    res = solve_ilp(lp, node_limit=node_limit)
     entry = {f.name: getattr(res, f.name) for f in fields(res)}
     if res.x_int is not None:
         entry["x_int"] = res.x_int.tolist()
@@ -278,13 +265,12 @@ def cmd_oracle(cfg: Settings) -> None:
     family, preset = cfg.get("family"), cfg.get("preset")
     out = Path(cfg.get("out"))
     roles = (cfg.get("role") or "test").split(",")
-    tols = tolerances(cfg)
     node_limit = int(cfg.get("node_limit"))
     workers = int(cfg.get("workers"))
     for role in (r.strip() for r in roles):
         paths = list_instances(instances_dir(out, family, preset, role))
         t0 = time.time()
-        results = _pool_map(workers, _oracle_one, [(p, node_limit, tols) for p in paths])
+        results = _pool_map(workers, _oracle_one, [(p, node_limit) for p in paths])
         entries = dict(sorted(results))
         dest = oracle_path(out, family, preset, role)
         dest.parent.mkdir(parents=True, exist_ok=True)
@@ -315,8 +301,7 @@ def load_oracle(out: Path, family: str, preset: str, role: str) -> dict:
 
 def _run_kwargs(cfg: Settings, **extra) -> dict:
     """The RunConfig fields that every instance of a collect or eval run shares."""
-    return dict(max_iters=int(cfg.get("max_iters")), arithmetic=cfg.get("arith"),
-                tols=tolerances(cfg), **extra)
+    return dict(max_iters=int(cfg.get("max_iters")), arithmetic=cfg.get("arith"), **extra)
 
 
 def _model_for(policy: str, model_file):
@@ -389,12 +374,11 @@ def _load_role(out, family, preset, role, policy="lookahead"):
 def cmd_train(cfg: Settings) -> None:
     family, preset = cfg.get("family"), cfg.get("preset")
     out = Path(cfg.get("out"))
-    tols = tolerances(cfg)
     t0 = time.time()
     train_trajs, train_insts = _load_role(out, family, preset, "train")
     val_trajs, val_insts = _load_role(out, family, preset, "val")
-    train_set = build_dataset(train_trajs, train_insts, family=family, tols=tols)
-    val_set = build_dataset(val_trajs, val_insts, family=family, tols=tols)
+    train_set = build_dataset(train_trajs, train_insts, family=family)
+    val_set = build_dataset(val_trajs, val_insts, family=family)
     logger.info("dataset: %d train / %d val samples (%.1fs)",
                 len(train_set), len(val_set), time.time() - t0)
     hp = Hyperparams(
@@ -428,9 +412,8 @@ def cmd_train(cfg: Settings) -> None:
         "config": cfg.hash(),
     }
     dest.with_name(dest.stem + "-report.json").write_text(json.dumps(report_doc, sort_keys=True))
-    if int(cfg.get("write_dataset")):
-        save_dataset(train_set, dest.with_name(dest.stem + "-train-dataset.csv"))
-        save_dataset(val_set, dest.with_name(dest.stem + "-val-dataset.csv"))
+    save_dataset(train_set, dest.with_name(dest.stem + "-train-dataset.csv"))
+    save_dataset(val_set, dest.with_name(dest.stem + "-val-dataset.csv"))
     logger.info("model written to %s", dest)
 
 

@@ -24,14 +24,12 @@ import numpy as np
 
 from .gomory import Cut, CutPool, apply_cuts, bound_cut, generate_cutpool
 from .lp import (
-    DEFAULT_TOLS,
     FLOAT,
     OPTIMAL,
     CycleLimitExceeded,
     LinearProgram,
     LpSolution,
     StandardForm,
-    Tolerances,
     is_integral,
     solve_simplex,
     to_standard_form,
@@ -55,7 +53,6 @@ class RunConfig:
     max_iters: int = 30
     arithmetic: str = FLOAT
     seed: int = 0
-    tols: Tolerances = DEFAULT_TOLS
     record_scores: bool = False  # record one-cut-added LP values for every pool cut
 
     def __post_init__(self):
@@ -74,7 +71,7 @@ class CutPlaneState:
     tableau, and leave-one-out scoring reads off its basis which candidates
     are slack.  ``None`` (a replayed or hand-built state) means every
     scoring LP is solved cold.  ``cfg`` is the run's configuration; scorers
-    read its arithmetic and tolerances.
+    read its arithmetic.
     """
 
     base: LinearProgram
@@ -123,7 +120,7 @@ class Trajectory:
 def _solve(lp: LinearProgram, cfg: RunConfig):
     sf = to_standard_form(lp)
     try:
-        sol = solve_simplex(sf, lp.objective, cfg.arithmetic, cfg.tols)
+        sol = solve_simplex(sf, lp.objective, cfg.arithmetic)
     except CycleLimitExceeded as exc:
         logger.warning("%s: simplex pivot cap hit (%s)", lp.name, exc)
         return sf, None
@@ -151,7 +148,6 @@ def _run(lp: LinearProgram, policy: "_policies.Policy", cfg: RunConfig,
     kinds = _policies.REMOVAL_KINDS if mode == REMOVAL else _policies.ADDITION_KINDS
     if policy.kind not in kinds:
         raise ValueError(f"policy {policy.kind!r} does not run in the {mode} loop")
-    tol = cfg.tols.integrality
     ids = itertools.count()
     P: list[Cut] = []
     registry: dict[int, Cut] = {}
@@ -163,7 +159,7 @@ def _run(lp: LinearProgram, policy: "_policies.Policy", cfg: RunConfig,
         if sol is None:
             status = NUMERICAL_FAILURE
             break
-        pool = generate_cutpool(sol, sf, lp_k, tol, ids, k, cfg.tols)
+        pool = generate_cutpool(sol, sf, lp_k, id_counter=ids, born_iter=k)
         registry.update({c.id: c for c in pool.cuts})
         if mode == REMOVAL and pool.cuts:
             sf, sol = _solve(apply_cuts(lp_k, pool.cuts), cfg)
@@ -172,7 +168,7 @@ def _run(lp: LinearProgram, policy: "_policies.Policy", cfg: RunConfig,
                 break
         vk = float(sol.value)
         xk = np.asarray(sol.x, dtype=float)
-        integral = is_integral(xk, tol)
+        integral = is_integral(xk)
         if integral or not pool.cuts:
             records.append(_record(k, vk, pool, P, [], [], xk, None))
             status = INTEGRAL_FOUND if integral else NUMERICAL_FAILURE
@@ -191,7 +187,7 @@ def _run(lp: LinearProgram, policy: "_policies.Policy", cfg: RunConfig,
             scores = _policies.score_candidates(cands, state, policy)
             retained = _policies.select_retained(cands, scores, budget=k + 1)
             kept = set(retained)
-            bc = bound_cut(lp.objective, vk, next(ids), k, tol)
+            bc = bound_cut(lp.objective, vk, next(ids), k)
             registry[bc.id] = bc
             removed = [c.id for c in cands if c.id not in kept]
             # selected_ids keep select_retained's score order; P keeps candidate order.
@@ -289,9 +285,10 @@ def save_trajectory(traj: Trajectory, path) -> None:
 
 
 def load_trajectory(path) -> Trajectory:
-    with open(path) as fh:
-        doc = json.load(fh)
+    """A trajectory file read back; any malformed content, invalid JSON
+    included, raises a ValueError naming ``path``."""
     try:
-        return trajectory_from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+        with open(path) as fh:
+            return trajectory_from_dict(json.load(fh))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed trajectory file {path}: {exc}") from exc

@@ -22,12 +22,13 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .lp import (
-    DEFAULT_TOLS,
+    FEASIBILITY_TOL,
+    INTEGRALITY_TOL,
+    PIVOT_TOL,
     LinearProgram,
     LpSolution,
     OPTIMAL,
     StandardForm,
-    Tolerances,
     dist_to_int,
     to_fractions,
 )
@@ -88,16 +89,15 @@ def generate_cutpool(
     sol: LpSolution,
     sf: StandardForm,
     lp: LinearProgram,
-    tol: float = 1e-6,
     id_counter: Optional[Iterator[int]] = None,
     born_iter: int = 0,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> CutPool:
     """All Gomory cuts of the final tableau, mapped to original variables.
 
-    An integral optimum yields an empty pool.  Rows whose eliminated cut is
-    numerically zero, or stops separating the fractional optimum after integer
-    snapping, are skipped and logged.  A cut kept with non-integral or
+    A row is cut when its basic value is more than ``INTEGRALITY_TOL`` from an
+    integer, so an integral optimum yields an empty pool.  Rows whose
+    eliminated cut is numerically zero, or stops separating the fractional
+    optimum after integer snapping, are skipped and logged.  A cut kept with non-integral or
     too-large coefficients (at or above ``SNAP_LIMIT``) is logged as a warning.
     An exact tableau derives each cut in ``Fraction`` arithmetic; the float
     cut it converts to then goes through the same snapping and checks.
@@ -109,7 +109,7 @@ def generate_cutpool(
     n = sf.num_vars
     L, v = tab.matrix, tab.rhs
     frac_dist = dist_to_int(v)
-    rows = np.nonzero(frac_dist > tol)[0]
+    rows = np.nonzero(frac_dist > INTEGRALITY_TOL)[0]
     cuts: list[Cut] = []
     if rows.size == 0:
         return CutPool(cuts, born_iter)
@@ -132,7 +132,7 @@ def generate_cutpool(
     if tab.exact:
         alpha, beta = alpha.astype(float), beta.astype(float)
     else:  # float noise; an exact coefficient is never noise
-        alpha[np.abs(alpha) < tols.pivot_zero] = 0.0
+        alpha[np.abs(alpha) < PIVOT_TOL] = 0.0
 
     # Snap rows that are integral to within 1e-6, then divide out their common
     # factor.  "+ 0.0" stores a zero right-hand side as +0.0, never -0.0.
@@ -156,7 +156,7 @@ def generate_cutpool(
         if not nonzero[k]:
             logger.debug("iteration %d: all-zero cut from tableau row %d skipped", born_iter, i)
             continue
-        if violation[k] <= tols.feasibility:
+        if violation[k] <= FEASIBILITY_TOL:
             logger.debug(
                 "iteration %d: degenerate cut from row %d (violation %.2e) skipped",
                 born_iter, i, violation[k],
@@ -201,22 +201,21 @@ def apply_cuts(lp: LinearProgram, cuts: Sequence[Cut]) -> LinearProgram:
     return lp.with_rows([c.alpha for c in cuts], [c.beta for c in cuts])
 
 
-def ceil_snap(value: float, tol: float = 1e-6) -> int:
-    """ceil with snapping: values within tol of an integer round to it first.
+def ceil_snap(value: float) -> int:
+    """ceil with snapping: a value within INTEGRALITY_TOL of an integer rounds to it.
 
     Guards the bound constraint against ceil(2.0000001) == 3 corruption; the
     true objective at integer points is integral because c is.
     """
     r = round(float(value))
-    if abs(value - r) <= tol:
+    if abs(value - r) <= INTEGRALITY_TOL:
         return int(r)
     return int(math.ceil(value))
 
 
-def bound_cut(objective: np.ndarray, lp_value: float, cut_id: int, born_iter: int,
-              tol: float = 1e-6) -> Cut:
+def bound_cut(objective: np.ndarray, lp_value: float, cut_id: int, born_iter: int) -> Cut:
     """The monotonicity constraint c @ x >= ceil(value), stored as -c @ x <= -ceil."""
-    target = ceil_snap(lp_value, tol)
+    target = ceil_snap(lp_value)
     return Cut(
         alpha=-np.asarray(objective, dtype=float),
         beta=-float(target),

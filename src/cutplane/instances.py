@@ -275,17 +275,28 @@ def save_instance(lp: LinearProgram, spec: InstanceSpec, path) -> None:
 
 
 def load_instance(path) -> tuple[LinearProgram, dict]:
-    with open(path) as fh:
-        doc = json.load(fh)
+    """The LP and the JSON document of an instance file; a malformed file,
+    invalid JSON included, raises a ValueError naming ``path``."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"unreadable instance file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"instance file {path} does not hold a JSON object")
     if doc.get("format_version") != INSTANCE_FORMAT_VERSION:
-        raise ValueError(f"unsupported instance format {doc.get('format_version')!r}")
-    rows = doc["rows"]
-    n = doc["num_vars"]
-    lp = LinearProgram(
-        objective=np.array(doc["objective"], dtype=float),
-        A=np.array([r["coeffs"] for r in rows], dtype=float).reshape(len(rows), n),
-        b=np.array([r["rhs"] for r in rows], dtype=float),
-        senses=[r["sense"] for r in rows],
-        name=doc["instance_id"],
-    )
+        raise ValueError(f"instance file {path}: unsupported format "
+                         f"{doc.get('format_version')!r}")
+    try:
+        rows = doc["rows"]
+        n = doc["num_vars"]
+        lp = LinearProgram(
+            objective=np.array(doc["objective"], dtype=float),
+            A=np.array([r["coeffs"] for r in rows], dtype=float).reshape(len(rows), n),
+            b=np.array([r["rhs"] for r in rows], dtype=float),
+            senses=[r["sense"] for r in rows],
+            name=doc["instance_id"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed instance file {path}: {exc}") from exc
     return lp, doc

@@ -6,9 +6,11 @@ the *final optimal tableau* is exposed, because Gomory cuts are read directly
 from its rows.  One solver serves two arithmetics, chosen by the tableau's
 dtype: float64 (the default), and numpy object arrays of exact
 ``fractions.Fraction`` (``mode=RATIONAL``), where every tolerance of the pivot
-rules is exactly 0.  Exact mode checks the arithmetic of the float path, since
-both run the same pivot rules; brute-force vertex enumeration and HiGHS are the
-independent checks of the algorithm itself.
+rules is exactly 0.  A float tableau compares against the three module
+constants ``FEASIBILITY_TOL``, ``INTEGRALITY_TOL`` and ``PIVOT_TOL``, which
+are fixed, not settings.  Exact mode checks the arithmetic of the float path,
+since both run the same pivot rules; brute-force vertex enumeration and HiGHS
+are the independent checks of the algorithm itself.
 
 Most LPs the package solves are an LP it has just solved plus a few ``<=``
 rows ``alpha @ x <= beta``: a pool cut for look-ahead scoring, a bound row
@@ -59,16 +61,13 @@ class BasisError(ValueError):
 REOPT_CAP_FACTOR = 50
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerances shared across the package (overridable via CLI config)."""
-
-    feasibility: float = 1e-7
-    integrality: float = 1e-6
-    pivot_zero: float = 1e-9
-
-
-DEFAULT_TOLS = Tolerances()
+# The package's float tolerances: a primal value or cut violation within
+# FEASIBILITY_TOL of 0 counts as 0, a value within INTEGRALITY_TOL of an integer
+# as integral, and a pivot-candidate entry or reduced cost within PIVOT_TOL of 0
+# as 0.  An exact (Fraction) tableau compares exactly and uses none of them.
+FEASIBILITY_TOL = 1e-7
+INTEGRALITY_TOL = 1e-6
+PIVOT_TOL = 1e-9
 
 
 @dataclass
@@ -192,14 +191,12 @@ def to_standard_form(lp: LinearProgram) -> StandardForm:
     return StandardForm(aug=aug, rhs=rhs, row_of_slack=row_of_slack, num_vars=n)
 
 
-def is_integral(x, tol: float = 1e-6) -> bool:
-    """True iff every component is within ``tol`` of its nearest integer."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def is_integral(x) -> bool:
+    """True iff every component is within ``INTEGRALITY_TOL`` of its nearest integer."""
     arr = np.asarray(x)
     if arr.size == 0:
         return True
-    return bool(dist_to_int(arr).max() <= tol)
+    return bool(dist_to_int(arr).max() <= INTEGRALITY_TOL)
 
 
 def dist_to_int(v: np.ndarray) -> np.ndarray:
@@ -222,7 +219,6 @@ def solve_simplex(
     sf: StandardForm,
     objective: Sequence[float],
     mode: str = FLOAT,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> LpSolution:
     """Two-phase primal simplex on a standard form.
 
@@ -241,12 +237,12 @@ def solve_simplex(
         c = to_fractions(c)
     elif mode != FLOAT:
         raise ValueError(f"unknown arithmetic mode: {mode!r}")
-    return _two_phase(sf, c, tols)
+    return _two_phase(sf, c)
 
 
-def solve_lp(lp: LinearProgram, mode: str = FLOAT, tols: Tolerances = DEFAULT_TOLS) -> LpSolution:
+def solve_lp(lp: LinearProgram, mode: str = FLOAT) -> LpSolution:
     """Convenience wrapper: standard form + simplex on the LP's own objective."""
-    return solve_simplex(to_standard_form(lp), lp.objective, mode, tols)
+    return solve_simplex(to_standard_form(lp), lp.objective, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +255,14 @@ def _zeros(shape, dtype) -> np.ndarray:
     return np.full(shape, Fraction(0)) if dtype == object else np.zeros(shape)
 
 
-def _margins(T: np.ndarray, tols: Tolerances) -> tuple:
-    """(pivot_zero, feasibility, ratio-tie, improvement) margins of T's arithmetic.
+def _margins(T: np.ndarray) -> tuple:
+    """(pivot, feasibility, ratio-tie, improvement) margins of T's arithmetic.
 
     An exact (object) tableau compares exactly, so all four are 0.
     """
     if T.dtype == object:
         return 0, 0, 0, 0
-    return tols.pivot_zero, tols.feasibility, 1e-9, 1e-12
+    return PIVOT_TOL, FEASIBILITY_TOL, 1e-9, 1e-12
 
 
 def _pivot(T: np.ndarray, row: int, col: int, buf: np.ndarray) -> None:
@@ -284,9 +280,9 @@ def _pivot(T: np.ndarray, row: int, col: int, buf: np.ndarray) -> None:
     T[row] = pr
 
 
-def _run_pivots(T, basis, m, tols, bland_after, cycle_cap):
+def _run_pivots(T, basis, m, bland_after, cycle_cap):
     """Minimize; last row of T holds reduced costs, T[m, -1] == -objective."""
-    ptol, _, tie, improve = _margins(T, tols)
+    ptol, _, tie, improve = _margins(T)
     nonimp = 0
     bland = False
     pivots = 0
@@ -324,7 +320,7 @@ def _run_pivots(T, basis, m, tols, bland_after, cycle_cap):
                 bland = True
 
 
-def _two_phase(sf: StandardForm, c: np.ndarray, tols: Tolerances) -> LpSolution:
+def _two_phase(sf: StandardForm, c: np.ndarray) -> LpSolution:
     m, width = sf.aug.shape
     n = sf.num_vars
     dtype = sf.aug.dtype
@@ -354,10 +350,10 @@ def _two_phase(sf: StandardForm, c: np.ndarray, tols: Tolerances) -> LpSolution:
             basis[i] = width + a
         T[m] = -T[art_rows].sum(axis=0)
         T[m, width:width + n_art] = 0
-        status = _run_pivots(T, basis, m, tols, bland_after, cycle_cap)
+        status = _run_pivots(T, basis, m, bland_after, cycle_cap)
         if status != OPTIMAL:
             raise CycleLimitExceeded("phase 1 became unbounded; numerical breakdown")
-        ptol, feasibility, _, _ = _margins(T, tols)
+        ptol, feasibility, _, _ = _margins(T)
         if -T[m, -1] > feasibility:
             return LpSolution(INFEASIBLE)
         # Drive each artificial still basic (at zero level) out on the largest
@@ -392,7 +388,7 @@ def _two_phase(sf: StandardForm, c: np.ndarray, tols: Tolerances) -> LpSolution:
         cb = cx[basis[i]]
         if cb != 0:
             T[m] -= cb * T[i]
-    status = _run_pivots(T, basis, m, tols, bland_after, cycle_cap)
+    status = _run_pivots(T, basis, m, bland_after, cycle_cap)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED)
     return _optimal_solution(T, basis, m, c)
@@ -422,10 +418,10 @@ def _optimal_solution(T: np.ndarray, basis: np.ndarray, m: int, c: np.ndarray) -
 # ---------------------------------------------------------------------------
 
 
-def _dual_pivots(T, basis, m, tols, cycle_cap):
+def _dual_pivots(T, basis, m, cycle_cap):
     """Dual simplex on a dual-feasible tableau: pivot the most negative basic
-    value out until none is below -pivot_zero (0 for an exact tableau)."""
-    ptol, _, tie, _ = _margins(T, tols)
+    value out until none is below -PIVOT_TOL (0 for an exact tableau)."""
+    ptol, _, tie, _ = _margins(T)
     pivots = 0
     buf = np.empty_like(T)
     while True:
@@ -453,7 +449,6 @@ def reoptimize(
     objective: Sequence[float],
     alpha: np.ndarray,
     beta: Sequence[float],
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> LpSolution:
     """Optimum of ``sol``'s LP plus the rows ``alpha @ x <= beta``, by dual simplex.
 
@@ -465,7 +460,7 @@ def reoptimize(
     ``to_standard_form`` numbers the slacks of appended ``<=`` rows.  The
     parent basis stays dual feasible, so dual pivots restore primal
     feasibility; a primal pass then removes any reduced cost that noise left
-    below -pivot_zero.  Returns status INFEASIBLE when a violated row cannot
+    below -PIVOT_TOL.  Returns status INFEASIBLE when a violated row cannot
     be repaired, and raises :class:`CycleLimitExceeded` after
     ``REOPT_CAP_FACTOR * (rows + columns)`` pivots.
     """
@@ -497,9 +492,9 @@ def reoptimize(
     T[mk, -1] = -sol.value
     basis = np.concatenate([tab.basis, np.arange(width, width + k)])
     cap = REOPT_CAP_FACTOR * (mk + width + k)
-    status = _dual_pivots(T, basis, mk, tols, cap)
+    status = _dual_pivots(T, basis, mk, cap)
     if status == OPTIMAL:
-        status = _run_pivots(T, basis, mk, tols, cap // 10, cap)
+        status = _run_pivots(T, basis, mk, cap // 10, cap)
     if status != OPTIMAL:
         return LpSolution(status)
     return _optimal_solution(T, basis, mk, c)
@@ -509,16 +504,14 @@ def factorize(
     sf: StandardForm,
     objective: Sequence[float],
     basis: Sequence[int],
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> LpSolution:
     """The optimal solution of ``sf`` at a basis it was solved to, rebuilt.
 
     One ``np.linalg.solve`` with the basis matrix gives every tableau row and
     the basic values; the reduced costs follow from them.  Raises
     :class:`BasisError` when the basis does not have one column per row, its
-    matrix is singular, or the rebuilt tableau is not optimal within
-    ``tols`` (primal values below -feasibility, reduced costs below
-    -pivot_zero).
+    matrix is singular, or the rebuilt tableau is not optimal (primal values
+    below -FEASIBILITY_TOL, reduced costs below -PIVOT_TOL).
     """
     c = np.asarray(objective, dtype=float)
     basis = np.asarray(basis, dtype=int)
@@ -539,9 +532,9 @@ def factorize(
     cx[:sf.num_vars] = c
     T[m, :width] = cx - cx[basis] @ T[:m, :width]
     T[m, basis] = 0.0
-    if T[:m, -1].min(initial=0.0) < -tols.feasibility:
+    if T[:m, -1].min(initial=0.0) < -FEASIBILITY_TOL:
         raise BasisError("basis is not primal feasible")
-    if T[m, :width].min(initial=0.0) < -tols.pivot_zero:
+    if T[m, :width].min(initial=0.0) < -PIVOT_TOL:
         raise BasisError("basis is not dual feasible")
     return _optimal_solution(T, basis, m, c)
 
@@ -551,7 +544,6 @@ def solve_warm(
     parent: LpSolution,
     alpha: np.ndarray,
     beta: Sequence[float],
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> LpSolution:
     """Solve ``lp`` plus the rows ``alpha @ x <= beta``; ``parent`` is ``lp``'s optimum.
 
@@ -566,14 +558,14 @@ def solve_warm(
     name = lp.name or "LP"
     mode = RATIONAL if parent.tableau.exact else FLOAT
     try:
-        warm = reoptimize(parent, lp.objective, alpha, beta, tols)
+        warm = reoptimize(parent, lp.objective, alpha, beta)
     except CycleLimitExceeded as exc:
         reason = f"hit the pivot cap ({exc})"
     else:
         if warm.status == OPTIMAL:
             return warm
         if warm.status == INFEASIBLE:
-            cold = solve_lp(lp.with_rows(alpha, beta), mode, tols)
+            cold = solve_lp(lp.with_rows(alpha, beta), mode)
             if cold.status == INFEASIBLE:
                 logger.debug("%s: warm re-optimization ended infeasible; confirmed cold", name)
             else:
@@ -582,4 +574,4 @@ def solve_warm(
             return cold
         reason = f"ended {warm.status}"
     logger.warning("%s: warm re-optimization %s; solving cold", name, reason)
-    return solve_lp(lp.with_rows(alpha, beta), mode, tols)
+    return solve_lp(lp.with_rows(alpha, beta), mode)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .features import FEATURE_NAMES, NUM_FEATURES, encode
 from .gomory import CutPool, apply_cuts
-from .lp import DEFAULT_TOLS, OPTIMAL, LinearProgram, Tolerances, solve_lp
+from .lp import OPTIMAL, LinearProgram, solve_lp
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import CutPlaneState, Trajectory
@@ -129,18 +129,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def forward(params: MlpParams, f: np.ndarray) -> float | np.ndarray:
     """Score features (shape (14,) or (N, 14)); deterministic, sigmoid hidden layers."""
     single = np.ndim(f) == 1
-    x = np.atleast_2d(np.asarray(f, dtype=float))
-    x = (x - params.feat_mean) / params.feat_std
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        x = x @ w + b
-        if i != last:
-            x = _sigmoid(x)
-    out = x[:, 0]
+    out = _forward_cached(params, np.atleast_2d(np.asarray(f, dtype=float)))[-1][:, 0]
     return float(out[0]) if single else out
 
 
-def _forward_cached(params: MlpParams, X: np.ndarray):
+def _forward_cached(params: MlpParams, X: np.ndarray) -> list[np.ndarray]:
+    """Every layer's activation, the normalized input first and the output last."""
     acts = [(X - params.feat_mean) / params.feat_std]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -267,7 +261,6 @@ def build_dataset(
     trajectories: Iterable["Trajectory"],
     instances: Mapping[str, LinearProgram],
     family: str = "",
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> list[TrainSample]:
     """One sample per (iteration, candidate cut) across look-ahead trajectories.
 
@@ -288,7 +281,7 @@ def build_dataset(
             active = [traj.cuts[i] for i in rec.active_ids]
             pool_cuts = [traj.cuts[i] for i in pool_ids]
             lp_k = apply_cuts(lp, active)
-            sol = solve_lp(lp_k, mode=traj.arithmetic, tols=tols)
+            sol = solve_lp(lp_k, mode=traj.arithmetic)
             if sol.status != OPTIMAL:
                 raise ReplayMismatch(
                     f"{traj.instance_id} iter {rec.k}: replayed LP is {sol.status}")
@@ -303,7 +296,7 @@ def build_dataset(
                 if raw is not None and raw[idx] is not None and math.isfinite(raw[idx]):
                     with_cut = float(raw[idx])
                 else:
-                    s = solve_lp(apply_cuts(lp_k, [cut]), mode=traj.arithmetic, tols=tols)
+                    s = solve_lp(apply_cuts(lp_k, [cut]), mode=traj.arithmetic)
                     if s.status != OPTIMAL:
                         continue
                     with_cut = float(s.value)
@@ -385,9 +378,11 @@ def load_model(path) -> MlpParams:
             doc = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaMismatch(f"unreadable model file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise SchemaMismatch(
-            f"model format version {doc.get('format_version')!r} != {MODEL_FORMAT_VERSION}")
+    if not isinstance(doc, dict):
+        raise SchemaMismatch(f"model file {path} does not hold a JSON object")
+    if doc.get("format_version") != MODEL_FORMAT_VERSION:
+        raise SchemaMismatch(f"model file {path}: format version "
+                             f"{doc.get('format_version')!r} != {MODEL_FORMAT_VERSION}")
     try:
         dims = [int(d) for d in doc["layer_dims"]]
         weights = [np.array(w, dtype=float) for w in doc["weights"]]
@@ -396,7 +391,7 @@ def load_model(path) -> MlpParams:
         std = np.array(doc["feat_std"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatch(f"malformed model file {path}: {exc}") from exc
-    if dims[0] != NUM_FEATURES or dims[-1] != 1 or len(weights) != len(dims) - 1:
+    if not dims or dims[0] != NUM_FEATURES or dims[-1] != 1 or len(weights) != len(dims) - 1:
         raise SchemaMismatch(f"inconsistent layer dims {dims}")
     for i, (w, b) in enumerate(zip(weights, biases)):
         if w.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):

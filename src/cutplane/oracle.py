@@ -31,7 +31,7 @@ import numpy as np
 
 from .gomory import ceil_snap
 from .lp import (
-    DEFAULT_TOLS,
+    INTEGRALITY_TOL,
     LE,
     GE,
     OPTIMAL,
@@ -41,8 +41,9 @@ from .lp import (
     CycleLimitExceeded,
     LinearProgram,
     LpSolution,
-    Tolerances,
+    dist_to_int,
     factorize,
+    is_integral,
     solve_lp,
     solve_warm,
     to_standard_form,
@@ -104,7 +105,6 @@ def _solve_children(
     basis: np.ndarray,
     alpha: np.ndarray,
     beta: np.ndarray,
-    tols: Tolerances,
 ) -> list[Optional[LpSolution]]:
     """Solve each child, ``parent_lp`` plus the row ``alpha[i] @ x <= beta[i]``,
     warm from ``basis``.
@@ -114,15 +114,15 @@ def _solve_children(
     whose cold solve hit the pivot cap.
     """
     try:
-        parent = factorize(to_standard_form(parent_lp), parent_lp.objective, basis, tols)
+        parent = factorize(to_standard_form(parent_lp), parent_lp.objective, basis)
     except BasisError as exc:
         logger.warning("B&B node basis does not refactorize (%s); solving its children cold", exc)
         parent = None
     out = []
     for a, b in zip(alpha, beta):
         try:
-            out.append(solve_lp(parent_lp.with_rows(a, b), tols=tols) if parent is None
-                       else solve_warm(parent_lp, parent, a, b, tols))
+            out.append(solve_lp(parent_lp.with_rows(a, b)) if parent is None
+                       else solve_warm(parent_lp, parent, a, b))
         except CycleLimitExceeded:
             out.append(None)
     return out
@@ -131,7 +131,6 @@ def _solve_children(
 def solve_ilp(
     lp: LinearProgram,
     node_limit: int = NODE_LIMIT,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> IlpResult:
     """Best-first branch and bound on LP relaxations.
 
@@ -144,7 +143,6 @@ def solve_ilp(
     if node_limit < 1:
         raise ValueError("node_limit must be >= 1")
     c_integral = np.all(np.abs(lp.objective - np.round(lp.objective)) < 1e-9)
-    itol = tols.integrality
 
     nodes = 1
     lost = 0
@@ -152,7 +150,7 @@ def solve_ilp(
     incumbent_val = None
 
     try:
-        root = solve_lp(lp, tols=tols)
+        root = solve_lp(lp)
     except CycleLimitExceeded:
         root, lost = None, 1
     if root is not None and root.status == UNBOUNDED:
@@ -163,8 +161,7 @@ def solve_ilp(
 
     def push(sol, bounds):
         nonlocal counter, incumbent_x, incumbent_val
-        frac = np.abs(sol.x - np.round(sol.x))
-        if np.max(frac, initial=0.0) <= itol:
+        if is_integral(sol.x):
             xi = np.round(sol.x)
             if _check_integer_feasible(lp, xi):
                 val = float(np.round(lp.objective) @ xi) if c_integral else float(lp.objective @ xi)
@@ -181,25 +178,24 @@ def solve_ilp(
     while heap:
         bound, _, x, basis, bounds = heapq.heappop(heap)
         if incumbent_val is not None:
-            eff = ceil_snap(bound, itol) if c_integral else bound
+            eff = ceil_snap(bound) if c_integral else bound
             if eff >= incumbent_val:
                 continue
         if nodes >= node_limit:
             limit_hit = True
             break
-        frac = np.abs(x - np.round(x))
-        j = int(np.argmax(frac))
+        j = int(np.argmax(dist_to_int(x)))
         v = x[j]
         kids = ((j, 1.0, float(math.floor(v))), (j, -1.0, -float(math.ceil(v))))
         node = lp.with_rows(*_bound_rows(lp.num_vars, bounds))
-        sols = _solve_children(node, basis, *_bound_rows(lp.num_vars, kids), tols)
+        sols = _solve_children(node, basis, *_bound_rows(lp.num_vars, kids))
         for kid, child in zip(kids, sols):
             nodes += 1
             lost += child is None
             if child is None or child.status != OPTIMAL:
                 continue
             if incumbent_val is not None:
-                eff = ceil_snap(child.value, itol) if c_integral else child.value
+                eff = ceil_snap(child.value) if c_integral else child.value
                 if eff >= incumbent_val:
                     continue
             push(child, bounds + (kid,))
@@ -212,7 +208,7 @@ def solve_ilp(
     return IlpResult(status, incumbent_x, incumbent_val, nodes, proven=not (limit_hit or lost))
 
 
-def integer_box(lp: LinearProgram, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def integer_box(lp: LinearProgram) -> np.ndarray:
     """Per-variable integer upper bounds from LP maxima (region must be bounded)."""
     n = lp.num_vars
     ub = np.zeros(n, dtype=np.int64)
@@ -220,12 +216,12 @@ def integer_box(lp: LinearProgram, tols: Tolerances = DEFAULT_TOLS) -> np.ndarra
         obj = np.zeros(n)
         obj[j] = -1.0  # maximize x_j
         probe = LinearProgram(objective=obj, A=lp.A, b=lp.b, senses=list(lp.senses))
-        sol = solve_lp(probe, tols=tols)
+        sol = solve_lp(probe)
         if sol.status == UNBOUNDED:
             raise ValueError(f"variable {j} is unbounded; cannot build an enumeration box")
         if sol.status == INFEASIBLE:
             return np.zeros(n, dtype=np.int64)
-        ub[j] = max(0, int(math.floor(-sol.value + tols.integrality)))
+        ub[j] = max(0, int(math.floor(-sol.value + INTEGRALITY_TOL)))
     return ub
 
 

@@ -72,9 +72,9 @@ def _solve_value(lp, state, cut: Optional[Cut] = None) -> float:
     from ``state.solved``, ``lp``'s optimum; -inf on solver failure (logged)."""
     try:
         if cut is None:
-            sol = solve_lp(lp, mode=state.cfg.arithmetic, tols=state.cfg.tols)
+            sol = solve_lp(lp, mode=state.cfg.arithmetic)
         else:
-            sol = solve_warm(lp, state.solved[1], cut.alpha, cut.beta, state.cfg.tols)
+            sol = solve_warm(lp, state.solved[1], cut.alpha, cut.beta)
     except CycleLimitExceeded as exc:
         logger.warning("scoring LP hit the pivot cap: %s", exc)
         return -math.inf

@@ -153,9 +153,11 @@ def test_config_file_flag_precedence(tmp_path):
     assert settings.get("preset") == "small"       # default remains
 
 
-def test_unknown_config_key_rejected(tmp_path):
+@pytest.mark.parametrize("key", ["frobnicate", "pivot_tol", "feasibility_tol",
+                                 "integrality_tol", "write_dataset"])
+def test_unknown_config_key_rejected(tmp_path, key):
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("frobnicate=1\n")
+    cfg_file.write_text(f"{key}=1\n")
     import argparse
     with pytest.raises(ValueError):
         Settings(argparse.Namespace(), read_config_file(cfg_file))

@@ -6,7 +6,7 @@ import pytest
 from cutplane.engine import RunConfig, run_add_only
 from cutplane.gomory import apply_cuts
 from cutplane import model
-from cutplane.lp import DEFAULT_TOLS, FLOAT, LE, RATIONAL, LinearProgram, solve_lp
+from cutplane.lp import FLOAT, LE, RATIONAL, LinearProgram, solve_lp
 from cutplane.model import (
     ReplayMismatch,
     build_dataset,
@@ -109,9 +109,9 @@ def test_replays_each_trajectory_in_its_own_arithmetic(monkeypatch):
     real = model.solve_lp
     modes = []
 
-    def spy(lp, mode=FLOAT, tols=DEFAULT_TOLS):
+    def spy(lp, mode=FLOAT):
         modes.append(mode)
-        return real(lp, mode, tols)
+        return real(lp, mode)
 
     monkeypatch.setattr(model, "solve_lp", spy)
     assert build_dataset([traj], {"p11": lp}, family="packing")

@@ -218,6 +218,16 @@ def test_malformed_trajectory_file_raises_value_error_naming_path(tmp_path, corr
         load_trajectory(path)
 
 
+@pytest.mark.parametrize("text", ['{"format_version": 1, "rec', '[1, 2]',
+                                  '{"format_version": 1, "records": [], "cuts": []}'],
+                         ids=["truncated", "list", "cuts-list"])
+def test_unreadable_trajectory_file_raises_value_error_naming_path(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_trajectory(path)
+
+
 def test_trajectories_deterministic():
     lp = packing_lp(5)
     t1 = run_policy(lp, "remove-random", RunConfig(max_iters=5, seed=7))
@@ -236,16 +246,16 @@ def test_rational_run_keeps_fractions_and_valid_cuts(family, policy, monkeypatch
     solve_simplex, generate_cutpool = engine.solve_simplex, engine.generate_cutpool
     seen = {"solves": 0, "cuts": 0}
 
-    def checked_solve(sf, objective, mode, tols):
-        sol = solve_simplex(sf, objective, mode, tols)
+    def checked_solve(sf, objective, mode):
+        sol = solve_simplex(sf, objective, mode)
         tab = sol.tableau
         for a in (tab.matrix, tab.rhs, tab.reduced_costs, sol.x):
             assert all(type(v) is Fraction for v in a.ravel())
         seen["solves"] += 1
         return sol
 
-    def checked_pool(sol, sf, lp, *args):
-        pool = generate_cutpool(sol, sf, lp, *args)
+    def checked_pool(sol, sf, lp, **kwargs):
+        pool = generate_cutpool(sol, sf, lp, **kwargs)
         pts = enumerate_integer_points(lp, box)
         x = sol.x.astype(float)
         for cut in pool:

@@ -1,5 +1,7 @@
 """Family generators: dimensions, determinism, feasibility, boundedness."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,15 @@ def test_round_trip(tmp_path):
     np.testing.assert_array_equal(back.objective, lp.objective)
     assert back.senses == lp.senses
     assert info["family"] == "max_cut"
+
+
+@pytest.mark.parametrize("text", ["[]", '{"format_version": 1, "fam', '{"format_version": 1}'],
+                         ids=["list", "truncated", "no-rows"])
+def test_malformed_instance_file_raises_value_error_naming_path(tmp_path, text):
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_instance(path)
 
 
 def test_all_coefficients_integral():

@@ -1,6 +1,7 @@
 """MLP scorer: forward, analytic gradients, SGD training, persistence."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,22 @@ def test_truncated_file_raises_schema_mismatch(tmp_path):
     save_model(p, path)
     data = path.read_text()
     path.write_text(data[: len(data) // 2])
+    with pytest.raises(SchemaMismatch):
+        load_model(path)
+
+
+def test_non_object_file_raises_schema_mismatch_naming_path(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(SchemaMismatch, match=re.escape(str(path))):
+        load_model(path)
+
+
+def test_empty_layer_dims_raise_schema_mismatch(tmp_path):
+    doc = {"format_version": 1, "layer_dims": [], "weights": [], "biases": [],
+           "feat_mean": [], "feat_std": []}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
     with pytest.raises(SchemaMismatch):
         load_model(path)
 

@@ -17,9 +17,10 @@ from cutplane.engine import RunConfig, run_policy
 from cutplane.gomory import GOMORY, Cut, CutPool, apply_cuts, generate_cutpool
 from cutplane.instances import FAMILIES, InstanceSpec, generate
 from cutplane.lp import (
-    DEFAULT_TOLS,
     EQ,
+    FEASIBILITY_TOL,
     GE,
+    PIVOT_TOL,
     OPTIMAL,
     UNBOUNDED,
     CycleLimitExceeded,
@@ -64,8 +65,8 @@ def reference_pivot(T, row, col, buf=None):  # buf: the solver passes one; unuse
     T[row, col] = 1.0
 
 
-def reference_run_pivots(T, basis, m, tols, bland_after, cycle_cap):
-    ptol = tols.pivot_zero
+def reference_run_pivots(T, basis, m, bland_after, cycle_cap):
+    ptol = PIVOT_TOL
     nonimp = 0
     bland = False
     pivots = 0
@@ -102,7 +103,7 @@ def reference_run_pivots(T, basis, m, tols, bland_after, cycle_cap):
                 bland = True
 
 
-def reference_cutpool(sol, sf, tol, ids, born_iter, tols=DEFAULT_TOLS):
+def reference_cutpool(sol, sf, tol, ids, born_iter):
     n = sf.num_vars
     tab = sol.tableau
     L, v = tab.matrix, tab.rhs
@@ -123,7 +124,7 @@ def reference_cutpool(sol, sf, tol, ids, born_iter, tols=DEFAULT_TOLS):
             r = g[slack_cols]
             alpha -= r @ A_src
             beta -= float(r @ b_src)
-        alpha[np.abs(alpha) < tols.pivot_zero] = 0.0
+        alpha[np.abs(alpha) < PIVOT_TOL] = 0.0
         rounded = np.round(alpha)
         beta_r = round(beta)
         if np.max(np.abs(alpha - rounded), initial=0.0) <= 1e-6 and abs(beta - beta_r) <= 1e-6:
@@ -135,7 +136,7 @@ def reference_cutpool(sol, sf, tol, ids, born_iter, tols=DEFAULT_TOLS):
                 alpha, beta = alpha / g, beta / g
         if not np.any(alpha):
             continue
-        if float(alpha @ x) - beta <= tols.feasibility:
+        if float(alpha @ x) - beta <= FEASIBILITY_TOL:
             continue
         cuts.append(Cut(alpha=alpha, beta=float(beta), id=next(ids), born_iter=born_iter,
                         kind=GOMORY, basic_var=int(tab.basis[i]),

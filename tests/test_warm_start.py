@@ -222,7 +222,7 @@ def test_bad_basis_solves_children_cold(caplog, basis):
     children = [with_bound(lp, 1, LE, 1.0), with_bound(lp, 1, GE, 2.0)]
     alpha, beta = np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([1.0, -2.0])
     with caplog.at_level(logging.WARNING, logger="cutplane"):
-        sols = oracle._solve_children(lp, np.array(basis), alpha, beta, lp_mod.DEFAULT_TOLS)
+        sols = oracle._solve_children(lp, np.array(basis), alpha, beta)
     assert len(warnings_of(caplog)) == 1
     assert "refactorize" in warnings_of(caplog)[0].getMessage()
     for sol, child in zip(sols, children):
