@@ -26,27 +26,20 @@ from .gomory import (
     BOUND,
     GOMORY,
     Cut,
+    CutPlaneState,
     CutPool,
     apply_cuts,
     bound_cut,
     ceil_snap,
     generate_cutpool,
-    validate_cut,
 )
-from .oracle import (
-    IlpResult,
-    TooLarge,
-    enumerate_integer_points,
-    integer_box,
-    solve_ilp,
-)
+from .oracle import IlpResult, solve_ilp
 from .engine import (
     ADD_ONLY,
     INTEGRAL_FOUND,
     ITER_LIMIT,
     NUMERICAL_FAILURE,
     REMOVAL,
-    CutPlaneState,
     IterationRecord,
     RunConfig,
     Trajectory,

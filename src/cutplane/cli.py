@@ -49,13 +49,14 @@ from .model import (
     train_sgd,
 )
 from .oracle import NODE_LIMIT, solve_ilp
-from .policies import ADDITION_KINDS, NEURAL, REMOVAL_KINDS, REMOVE_NEURAL
+from .policies import ADDITION_KINDS, LOOKAHEAD, NEURAL, REMOVAL_KINDS, REMOVE_NEURAL
 
 logger = logging.getLogger("cutplane.cli")
 
 ROLES = ("train", "val", "test")
 ROLE_OFFSETS = {"train": 0, "val": 1_000_000, "test": 2_000_000}
 RETRY_STRIDE = 100_000_000
+ORACLE_FORMAT_VERSION = 1
 
 DEFAULTS = {
     "family": "packing",
@@ -193,6 +194,17 @@ def list_instances(dir_path: Path) -> list[Path]:
     return paths
 
 
+def _load_trajectories(out, family, preset, role, policy) -> list:
+    """The trajectories one policy collected on one role; none is an error."""
+    tdir = trajectories_dir(out, family, preset, role, policy)
+    paths = sorted(tdir.glob("*.json"))
+    if not paths:
+        raise FileNotFoundError(
+            f"no trajectories under {tdir}; run `cutplane collect --role {role} "
+            f"--policies {policy}` first")
+    return [load_trajectory(p) for p in paths]
+
+
 def metadata_line(cfg: Settings, **extra) -> str:
     tokens = [f"cutplane={__version__}", f"config={cfg.hash()}", f"seed={cfg.get('seed')}"]
     tokens += [f"{k}={v}" for k, v in sorted(extra.items())]
@@ -275,7 +287,7 @@ def cmd_oracle(cfg: Settings) -> None:
         dest = oracle_path(out, family, preset, role)
         dest.parent.mkdir(parents=True, exist_ok=True)
         doc = {
-            "format_version": 1,
+            "format_version": ORACLE_FORMAT_VERSION,
             "family": family,
             "preset": preset,
             "role": role,
@@ -288,10 +300,22 @@ def cmd_oracle(cfg: Settings) -> None:
 
 
 def load_oracle(out: Path, family: str, preset: str, role: str) -> dict:
+    """The oracle entries by instance id; a malformed cache file, invalid
+    JSON included, raises a ValueError naming it."""
     path = oracle_path(out, family, preset, role)
     if not path.exists():
         raise FileNotFoundError(f"oracle cache missing: {path}; run `cutplane oracle` first")
-    return json.loads(path.read_text())["entries"]
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"unreadable oracle file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"oracle file {path} does not hold a JSON object")
+    if doc.get("format_version") != ORACLE_FORMAT_VERSION:
+        raise ValueError(f"oracle file {path}: unsupported format {doc.get('format_version')!r}")
+    if not isinstance(doc.get("entries"), dict):
+        raise ValueError(f"malformed oracle file {path}: no 'entries' object")
+    return doc["entries"]
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +382,9 @@ def cmd_collect(cfg: Settings) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _load_role(out, family, preset, role, policy="lookahead"):
-    tdir = trajectories_dir(out, family, preset, role, policy)
-    paths = sorted(tdir.glob("*.json"))
-    if not paths:
-        raise FileNotFoundError(f"no trajectories under {tdir}; run `cutplane collect` first")
-    trajectories = [load_trajectory(p) for p in paths]
+def _load_role(out, family, preset, role):
+    """The look-ahead trajectories of one role and its instances by id."""
+    trajectories = _load_trajectories(out, family, preset, role, LOOKAHEAD)
     instances = {}
     for p in list_instances(instances_dir(out, family, preset, role)):
         lp, doc = load_instance(p)
@@ -527,13 +548,7 @@ def cmd_analyze(cfg: Settings) -> None:
     policies = parse_policies(cfg.get_or("policies", "random,lookahead"))
     max_iters = int(cfg.get("max_iters"))
     for policy in policies:
-        tdir = trajectories_dir(out, family, preset, role, policy)
-        paths = sorted(tdir.glob("*.json"))
-        if not paths:
-            raise FileNotFoundError(
-                f"no trajectories under {tdir}; run `cutplane collect --role {role} "
-                f"--policies {policy}` first")
-        trajectories = [load_trajectory(p) for p in paths]
+        trajectories = _load_trajectories(out, family, preset, role, policy)
         mats = distribution_matrices(trajectories, max_iters)
         for metric, D in mats.items():
             dest = out / f"dist_{family}_{metric}_{policy}.csv"

@@ -17,19 +17,17 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .gomory import Cut, CutPool, apply_cuts, bound_cut, generate_cutpool
+from .gomory import Cut, CutPlaneState, apply_cuts, bound_cut, generate_cutpool
 from .lp import (
     FLOAT,
     OPTIMAL,
     CycleLimitExceeded,
     LinearProgram,
-    LpSolution,
-    StandardForm,
     is_integral,
     solve_simplex,
     to_standard_form,
@@ -58,33 +56,6 @@ class RunConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-
-
-@dataclass
-class CutPlaneState:
-    """Everything a policy may look at during one iteration.
-
-    In add-only mode ``x_star``/``lp_value`` belong to (H u P_k); in removal
-    mode they belong to (H u P_k u C_k), the all-cuts LP of the iteration.
-    ``solved`` holds that LP's standard form and optimal solution, as the
-    loop solved it: add look-ahead re-optimizes each pool cut into its
-    tableau, and leave-one-out scoring reads off its basis which candidates
-    are slack.  ``None`` (a replayed or hand-built state) means every
-    scoring LP is solved cold.  ``cfg`` is the run's configuration; scorers
-    read its arithmetic.
-    """
-
-    base: LinearProgram
-    active_cuts: list[Cut]
-    pool: CutPool
-    iter: int
-    x_star: np.ndarray
-    lp_value: float
-    cfg: RunConfig = field(default_factory=RunConfig)
-    solved: Optional[tuple[StandardForm, LpSolution]] = None
-
-    def candidates(self) -> list[Cut]:
-        return list(self.active_cuts) + list(self.pool.cuts)
 
 
 @dataclass
@@ -173,7 +144,7 @@ def _run(lp: LinearProgram, policy: "_policies.Policy", cfg: RunConfig,
             records.append(_record(k, vk, pool, P, [], [], xk, None))
             status = INTEGRAL_FOUND if integral else NUMERICAL_FAILURE
             break
-        state = CutPlaneState(lp, P, pool, k, xk, vk, cfg, (sf, sol))
+        state = CutPlaneState(lp, P, pool, k, xk, vk, (sf, sol))
         if mode == ADD_ONLY:
             raw = None
             if cfg.record_scores or policy.kind == _policies.LOOKAHEAD:

@@ -19,15 +19,11 @@ positive cut scaling anyway.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import math
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .engine import CutPlaneState
-    from .gomory import Cut
+from .gomory import Cut, CutPlaneState
 
 FEATURE_NAMES = [
     "cut_mean", "cut_max", "cut_min", "cut_std",
@@ -46,7 +42,7 @@ def _stat_block(values: np.ndarray) -> tuple[float, float, float, float]:
     return float(values.mean()), float(values.max()), float(values.min()), float(values.std())
 
 
-def encode(cut: "Cut", state: "CutPlaneState") -> np.ndarray:
+def encode(cut: Cut, state: CutPlaneState) -> np.ndarray:
     """Encode one cut against ``state`` (pure function; no NaN/Inf in the output)."""
     alpha = np.asarray(cut.alpha, dtype=float)
     beta = float(cut.beta)

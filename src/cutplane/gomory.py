@@ -9,6 +9,9 @@ slacked, the eliminated cut has integer coefficients; we snap to those integers
 rescaled here: any non-integer scaling would make the slack of a stored cut
 non-integral at integer points and poison every later round of cuts.  Feature
 encoding does its own magnitude normalization instead.
+
+The module also holds what a policy sees of one iteration: the cuts, the
+pool and :class:`CutPlaneState`.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ class Cut:
 @dataclass
 class CutPool:
     cuts: list[Cut]
-    source_iter: int
 
     def __len__(self) -> int:
         return len(self.cuts)
@@ -78,6 +80,32 @@ class CutPool:
 
     def ids(self) -> list[int]:
         return [c.id for c in self.cuts]
+
+
+@dataclass
+class CutPlaneState:
+    """Everything a policy may look at during one iteration.
+
+    In add-only mode ``x_star``/``lp_value`` belong to (H u P_k); in removal
+    mode they belong to (H u P_k u C_k), the all-cuts LP of the iteration.
+    ``solved`` holds that LP's standard form and optimal solution, as the
+    loop solved it: add look-ahead re-optimizes each pool cut into its
+    tableau, and leave-one-out scoring reads off its basis which candidates
+    are slack.  ``None`` (a replayed or hand-built state) means every
+    scoring LP is solved cold.  A cold scoring LP uses the arithmetic of
+    ``solved``'s tableau, or float without it.
+    """
+
+    base: LinearProgram
+    active_cuts: list[Cut]
+    pool: CutPool
+    iter: int
+    x_star: np.ndarray
+    lp_value: float
+    solved: Optional[tuple[StandardForm, LpSolution]] = None
+
+    def candidates(self) -> list[Cut]:
+        return list(self.active_cuts) + list(self.pool.cuts)
 
 
 # Integers of this magnitude or more are not all representable in float64, so
@@ -112,7 +140,7 @@ def generate_cutpool(
     rows = np.nonzero(frac_dist > INTEGRALITY_TOL)[0]
     cuts: list[Cut] = []
     if rows.size == 0:
-        return CutPool(cuts, born_iter)
+        return CutPool(cuts)
 
     # One Gomory row per fractional basic value, all rows at once, in the
     # tableau's arithmetic; an exact cut is converted to float once derived.
@@ -176,22 +204,7 @@ def generate_cutpool(
             row_norm=math.sqrt(L[i].dot(L[i])),  # what np.linalg.norm computes
             frac_dist=float(frac_dist[i]),
         ))
-    return CutPool(cuts, born_iter)
-
-
-def validate_cut(
-    cut: Cut,
-    x_frac: Sequence[float],
-    integer_points: np.ndarray,
-    margin: float = 1e-7,
-) -> bool:
-    """True iff the cut separates x_frac and keeps every integer point feasible."""
-    if cut.violation(x_frac) <= margin:
-        return False
-    pts = np.asarray(integer_points, dtype=float)
-    if pts.size == 0:
-        return True
-    return bool(np.max(pts @ cut.alpha - cut.beta) <= margin)
+    return CutPool(cuts)
 
 
 def apply_cuts(lp: LinearProgram, cuts: Sequence[Cut]) -> LinearProgram:

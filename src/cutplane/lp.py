@@ -9,8 +9,8 @@ dtype: float64 (the default), and numpy object arrays of exact
 rules is exactly 0.  A float tableau compares against the three module
 constants ``FEASIBILITY_TOL``, ``INTEGRALITY_TOL`` and ``PIVOT_TOL``, which
 are fixed, not settings.  Exact mode checks the arithmetic of the float path,
-since both run the same pivot rules; brute-force vertex enumeration and HiGHS
-are the independent checks of the algorithm itself.
+since both run the same pivot rules.  The independent checks of the algorithm
+itself, brute-force vertex enumeration and HiGHS, live in the tests.
 
 Most LPs the package solves are an LP it has just solved plus a few ``<=``
 rows ``alpha @ x <= beta``: a pool cut for look-ahead scoring, a bound row

@@ -22,11 +22,11 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .features import FEATURE_NAMES, NUM_FEATURES, encode
-from .gomory import CutPool, apply_cuts
+from .gomory import CutPlaneState, CutPool, apply_cuts
 from .lp import OPTIMAL, LinearProgram, solve_lp
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .engine import CutPlaneState, Trajectory
+    from .engine import Trajectory
 
 logger = logging.getLogger(__name__)
 
@@ -290,7 +290,7 @@ def build_dataset(
                 raise ReplayMismatch(
                     f"{traj.instance_id} iter {rec.k}: replayed value {vk} vs recorded {rec.lp_value}")
             denom = max(abs(vk), TARGET_DENOM_FLOOR)
-            state = _replay_state(lp, active, pool_cuts, rec, traj)
+            state = _replay_state(lp, active, pool_cuts, rec)
             raw = rec.pool_scores
             for idx, cut in enumerate(pool_cuts):
                 if raw is not None and raw[idx] is not None and math.isfinite(raw[idx]):
@@ -309,14 +309,11 @@ def build_dataset(
     return out
 
 
-def _replay_state(lp, active, pool_cuts, rec, traj) -> "CutPlaneState":
-    # Imported here, not at the top: engine imports policies, which imports model.
-    from .engine import CutPlaneState
-
+def _replay_state(lp, active, pool_cuts, rec) -> CutPlaneState:
     return CutPlaneState(
         base=lp,
         active_cuts=active,
-        pool=CutPool(pool_cuts, rec.k),
+        pool=CutPool(pool_cuts),
         iter=rec.k,
         x_star=np.asarray(rec.x_star, dtype=float),
         lp_value=rec.lp_value,
@@ -339,21 +336,25 @@ def save_dataset(samples: Sequence[TrainSample], path) -> None:
 
 
 def load_dataset(path) -> list[TrainSample]:
+    """The samples of a dataset CSV; a bad header or row raises
+    :class:`SchemaMismatch` naming ``path`` (and the row's line number)."""
     out = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[:NUM_FEATURES] != FEATURE_NAMES:
             raise SchemaMismatch(f"dataset {path} does not start with the 14 feature columns")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
-            feats = np.array([float(v) for v in parts[:NUM_FEATURES]])
-            out.append(TrainSample(
-                features=feats,
-                target=float(parts[NUM_FEATURES]),
-                family=parts[NUM_FEATURES + 1],
-                instance_id=parts[NUM_FEATURES + 2],
-                iteration=int(parts[NUM_FEATURES + 3]),
-            ))
+            try:
+                out.append(TrainSample(
+                    features=np.array([float(v) for v in parts[:NUM_FEATURES]]),
+                    target=float(parts[NUM_FEATURES]),
+                    family=parts[NUM_FEATURES + 1],
+                    instance_id=parts[NUM_FEATURES + 2],
+                    iteration=int(parts[NUM_FEATURES + 3]),
+                ))
+            except (IndexError, ValueError) as exc:
+                raise SchemaMismatch(f"dataset {path} line {lineno}: {exc}") from exc
     return out
 
 

@@ -11,17 +11,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .features import encode_many
-from .gomory import Cut, CutPool, apply_cuts
-from .lp import CycleLimitExceeded, OPTIMAL, solve_lp, solve_warm
+from .gomory import Cut, CutPlaneState, CutPool, apply_cuts
+from .lp import FLOAT, RATIONAL, CycleLimitExceeded, OPTIMAL, solve_lp, solve_warm
 from .model import MlpParams, forward
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .engine import CutPlaneState
 
 logger = logging.getLogger(__name__)
 
@@ -69,10 +66,15 @@ class Policy:
 
 def _solve_value(lp, state, cut: Optional[Cut] = None) -> float:
     """LP value of ``lp`` solved cold, or of ``lp`` plus ``cut``'s row re-optimized
-    from ``state.solved``, ``lp``'s optimum; -inf on solver failure (logged)."""
+    from ``state.solved``, ``lp``'s optimum; -inf on solver failure (logged).
+
+    A cold solve runs in the arithmetic of ``state.solved``'s tableau, or in
+    float when the state carries no solution.
+    """
     try:
         if cut is None:
-            sol = solve_lp(lp, mode=state.cfg.arithmetic)
+            exact = state.solved is not None and state.solved[1].tableau.exact
+            sol = solve_lp(lp, mode=RATIONAL if exact else FLOAT)
         else:
             sol = solve_warm(lp, state.solved[1], cut.alpha, cut.beta)
     except CycleLimitExceeded as exc:
@@ -84,12 +86,12 @@ def _solve_value(lp, state, cut: Optional[Cut] = None) -> float:
     return float(sol.value)
 
 
-def lookahead_add_scores(pool: CutPool, state: "CutPlaneState") -> np.ndarray:
+def lookahead_add_scores(pool: CutPool, state: CutPlaneState) -> np.ndarray:
     """Score of a cut = LP value of (H u P_k u {cut}); one LP per cut.
 
     With ``state.solved`` set, the optimum of (H u P_k), each cut's row is
-    re-optimized into its tableau, in the run's arithmetic; a hand-built or
-    replayed state (``solved=None``) solves every LP cold.
+    re-optimized into its tableau, in its arithmetic; a hand-built or
+    replayed state (``solved=None``) solves every LP cold, in float.
     """
     base = apply_cuts(state.base, state.active_cuts)
     if state.solved is None:
@@ -97,7 +99,7 @@ def lookahead_add_scores(pool: CutPool, state: "CutPlaneState") -> np.ndarray:
     return np.array([_solve_value(base, state, c) for c in pool.cuts])
 
 
-def _basic_slack_mask(candidates: Sequence[Cut], state: "CutPlaneState") -> np.ndarray:
+def _basic_slack_mask(candidates: Sequence[Cut], state: CutPlaneState) -> np.ndarray:
     """Which candidates have their slack basic in ``state.solved``'s optimum.
 
     Candidates are the rows after ``state.base``'s, in order.  All False when
@@ -116,7 +118,7 @@ def _basic_slack_mask(candidates: Sequence[Cut], state: "CutPlaneState") -> np.n
                     dtype=bool)
 
 
-def lookahead_remove_scores(candidates: Sequence[Cut], state: "CutPlaneState") -> np.ndarray:
+def lookahead_remove_scores(candidates: Sequence[Cut], state: CutPlaneState) -> np.ndarray:
     """Leave-one-out value drop: full LP value minus the value without the cut.
 
     The state must be solved over H u P_k u C_k.  A candidate whose slack is
@@ -137,14 +139,14 @@ def lookahead_remove_scores(candidates: Sequence[Cut], state: "CutPlaneState") -
     return scores
 
 
-def _neural_scores(cuts: Sequence[Cut], state: "CutPlaneState", model: MlpParams) -> np.ndarray:
+def _neural_scores(cuts: Sequence[Cut], state: CutPlaneState, model: MlpParams) -> np.ndarray:
     feats = encode_many(list(cuts), state)
     return np.atleast_1d(forward(model, feats))
 
 
 def select_addition(
     pool: CutPool,
-    state: "CutPlaneState",
+    state: CutPlaneState,
     policy: Policy,
     precomputed_scores: Optional[np.ndarray] = None,
 ) -> int:
@@ -190,7 +192,7 @@ def _argbest(cuts: Sequence[Cut], scores, rel_tol: float = 0.0) -> int:
     return min(c.id for c, s in zip(cuts, scores) if s >= floor)
 
 
-def score_candidates(candidates: Sequence[Cut], state: "CutPlaneState",
+def score_candidates(candidates: Sequence[Cut], state: CutPlaneState,
                      policy: Policy) -> np.ndarray:
     if policy.kind == REMOVE_LOOKAHEAD:
         return lookahead_remove_scores(candidates, state)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from _acceptance_report import record
+from brute_force import enumerate_integer_points, integer_box
 
 from cutplane.cli import aggregate_distribution, main as cli_main, pool_metrics
 from cutplane.engine import (
@@ -36,7 +37,7 @@ from cutplane.model import (
     mse,
     train_sgd,
 )
-from cutplane.oracle import enumerate_integer_points, integer_box, solve_ilp
+from cutplane.oracle import solve_ilp
 
 WORKERS = 2
 

@@ -1,6 +1,7 @@
 """CLI pipeline: gen/oracle/collect/train/eval/analyze on a miniature corpus."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from cutplane.cli import (
     MissingModel,
     Settings,
+    load_oracle,
     main,
+    oracle_path,
     parse_counts,
     parse_policies,
     read_config_file,
@@ -161,3 +164,17 @@ def test_unknown_config_key_rejected(tmp_path, key):
     import argparse
     with pytest.raises(ValueError):
         Settings(argparse.Namespace(), read_config_file(cfg_file))
+
+
+@pytest.mark.parametrize("text", [
+    '{"format_version": 1, "entr',
+    "[]",
+    '{"format_version": 2, "entries": {}}',
+    '{"format_version": 1}',
+], ids=["truncated", "list", "version-2", "no-entries"])
+def test_malformed_oracle_file_raises_value_error_naming_path(tmp_path, text):
+    path = oracle_path(tmp_path, "packing", "tiny", "test")
+    path.parent.mkdir(parents=True)
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_oracle(tmp_path, "packing", "tiny", "test")

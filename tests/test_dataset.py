@@ -1,14 +1,18 @@
 """Dataset builder: replayed targets, redundant-cut labels, file round trip."""
 
+import re
+
 import numpy as np
 import pytest
 
 from cutplane.engine import RunConfig, run_add_only
+from cutplane.features import FEATURE_NAMES
 from cutplane.gomory import apply_cuts
 from cutplane import model
 from cutplane.lp import FLOAT, LE, RATIONAL, LinearProgram, solve_lp
 from cutplane.model import (
     ReplayMismatch,
+    SchemaMismatch,
     build_dataset,
     load_dataset,
     save_dataset,
@@ -99,6 +103,18 @@ def test_dataset_file_round_trip(tmp_path, lookahead_traj):
         np.testing.assert_array_equal(a.features, b.features)
         assert a.target == b.target
         assert (a.family, a.instance_id, a.iteration) == (b.family, b.instance_id, b.iteration)
+
+
+@pytest.mark.parametrize("row", [
+    "0.5,1.5",
+    ",".join(["0.5"] * 13 + ["x", "0.0", "packing", "p1", "1"]),
+], ids=["short", "non-numeric"])
+def test_malformed_dataset_row_raises_schema_mismatch_naming_path(tmp_path, row):
+    path = tmp_path / "dataset.csv"
+    header = FEATURE_NAMES + ["target", "family", "instance_id", "iteration"]
+    path.write_text(",".join(header) + "\n" + row + "\n")
+    with pytest.raises(SchemaMismatch, match=re.escape(f"{path} line 2")):
+        load_dataset(path)
 
 
 def test_replays_each_trajectory_in_its_own_arithmetic(monkeypatch):

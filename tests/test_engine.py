@@ -25,11 +25,13 @@ from cutplane.engine import (
     trajectory_to_dict,
 )
 from cutplane import engine
-from cutplane.gomory import BOUND, apply_cuts, ceil_snap, validate_cut
+from cutplane.gomory import BOUND, apply_cuts, ceil_snap
 from cutplane.instances import InstanceSpec, generate
 from cutplane.lp import FLOAT, LE, RATIONAL, LinearProgram, solve_lp
-from cutplane.oracle import enumerate_integer_points, integer_box, solve_ilp
+from cutplane.oracle import solve_ilp
 from cutplane.policies import Policy
+
+from brute_force import enumerate_integer_points, integer_box, validate_cut
 
 
 def two_var_lp():

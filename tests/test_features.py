@@ -13,7 +13,7 @@ def make_state(c, x, k=3):
     n = len(c)
     lp = LinearProgram(objective=c, A=np.zeros((0, n)), b=[], senses=[])
     return CutPlaneState(
-        base=lp, active_cuts=[], pool=CutPool([], k), iter=k,
+        base=lp, active_cuts=[], pool=CutPool([]), iter=k,
         x_star=np.asarray(x, dtype=float), lp_value=0.0,
     )
 

@@ -15,7 +15,6 @@ from cutplane.gomory import (
     bound_cut,
     ceil_snap,
     generate_cutpool,
-    validate_cut,
 )
 from cutplane.lp import (
     LE,
@@ -29,7 +28,9 @@ from cutplane.lp import (
     solve_simplex,
     to_standard_form,
 )
-from cutplane.oracle import enumerate_integer_points, integer_box, solve_ilp
+from cutplane.oracle import solve_ilp
+
+from brute_force import enumerate_integer_points, integer_box, validate_cut
 
 
 def two_var_example():

@@ -9,11 +9,10 @@ from cutplane.oracle import (
     ILP_NODE_LIMIT,
     ILP_OPTIMAL,
     IlpResult,
-    TooLarge,
-    enumerate_integer_points,
-    integer_box,
     solve_ilp,
 )
+
+from brute_force import TooLarge, enumerate_integer_points, integer_box
 
 
 def small_random_ilp(rng, n_max=5):

@@ -5,9 +5,19 @@ import itertools
 import numpy as np
 import pytest
 
-from cutplane.engine import CutPlaneState, RunConfig, run_add_only, run_removal
+from cutplane import policies
+from cutplane.engine import CutPlaneState, RunConfig, run_add_only, run_policy, run_removal
 from cutplane.gomory import Cut, CutPool, apply_cuts, generate_cutpool
-from cutplane.lp import LE, LinearProgram, solve_lp, solve_simplex, to_standard_form
+from cutplane.instances import InstanceSpec, generate
+from cutplane.lp import (
+    FLOAT,
+    LE,
+    RATIONAL,
+    LinearProgram,
+    solve_lp,
+    solve_simplex,
+    to_standard_form,
+)
 from cutplane.policies import (
     EmptyPool,
     Policy,
@@ -39,7 +49,7 @@ def dummy_cut(cid, frac=0.5, basic=0, norm=1.0, born=1, alpha=(1.0, 1.0), beta=1
 
 def dummy_state(cuts, k=1):
     lp = LinearProgram(objective=[1.0, 2.0], A=np.zeros((0, 2)), b=[], senses=[])
-    return CutPlaneState(lp, [], CutPool(list(cuts), k), k, np.zeros(2), 0.0)
+    return CutPlaneState(lp, [], CutPool(list(cuts)), k, np.zeros(2), 0.0)
 
 
 def test_single_cut_pool_every_policy():
@@ -108,7 +118,7 @@ def test_remove_scores_nonnegative_and_inactive_zero():
     loose = Cut(alpha=np.array([1.0, 1.0]), beta=100.0, id=999, born_iter=1)
     cands = list(pool.cuts) + [loose]
     full = solve_lp(apply_cuts(lp, cands))
-    state_full = CutPlaneState(lp, [], CutPool(cands, 1), 1,
+    state_full = CutPlaneState(lp, [], CutPool(cands), 1,
                                np.asarray(full.x, float), float(full.value))
     scores = lookahead_remove_scores(cands, state_full)
     assert np.all(scores >= 0.0)
@@ -151,3 +161,19 @@ def test_scorer_constructor_validation():
         run_add_only(lp, Policy("remove-random"), RunConfig())
     with pytest.raises(ValueError, match="does not run"):
         run_removal(lp, Policy("mv"), RunConfig())
+
+
+def test_rational_leave_one_out_solves_are_rational(monkeypatch):
+    """Rational remove-lookahead solves its leave-one-out LPs cold in the
+    arithmetic of the iteration's solved tableau: exact."""
+    real = policies.solve_lp
+    modes = []
+
+    def spy(lp, mode=FLOAT):
+        modes.append(mode)
+        return real(lp, mode)
+
+    monkeypatch.setattr(policies, "solve_lp", spy)
+    lp = generate(InstanceSpec("max_cut", "tiny", 1))
+    run_policy(lp, "remove-lookahead", RunConfig(max_iters=4, seed=1, arithmetic=RATIONAL))
+    assert modes and set(modes) == {RATIONAL}

@@ -141,7 +141,7 @@ def reference_cutpool(sol, sf, tol, ids, born_iter):
         cuts.append(Cut(alpha=alpha, beta=float(beta), id=next(ids), born_iter=born_iter,
                         kind=GOMORY, basic_var=int(tab.basis[i]),
                         row_norm=float(np.linalg.norm(L[i])), frac_dist=float(frac_dist[i])))
-    return CutPool(cuts, born_iter)
+    return CutPool(cuts)
 
 
 def cut_bytes(c):

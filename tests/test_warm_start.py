@@ -28,8 +28,9 @@ from cutplane.lp import (
     solve_warm,
     to_standard_form,
 )
-from cutplane.oracle import integer_box, solve_ilp
+from cutplane.oracle import solve_ilp
 
+from brute_force import integer_box
 from test_lp import assert_exact_optimum
 
 SEEDS = (1, 2, 3)
