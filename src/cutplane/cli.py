@@ -11,6 +11,8 @@ A default the library also has is read from it (RunConfig, Hyperparams,
 model.LAYER_DIMS, oracle.NODE_LIMIT), not copied; the solver tolerances are
 constants of ``cutplane.lp``, not settings.  ``--arith`` is read by
 ``collect`` and ``eval``; ``train`` replays each trajectory in its own.
+``--seed`` is read by ``gen`` and ``train``; ``collect`` and ``eval`` run
+each instance with the seed its instance file records.
 """
 
 from __future__ import annotations
@@ -301,7 +303,8 @@ def cmd_oracle(cfg: Settings) -> None:
 
 def load_oracle(out: Path, family: str, preset: str, role: str) -> dict:
     """The oracle entries by instance id; a malformed cache file, invalid
-    JSON included, raises a ValueError naming it."""
+    JSON or an entry without a numeric or null ``value`` included, raises a
+    ValueError naming it (and the entry's instance)."""
     path = oracle_path(out, family, preset, role)
     if not path.exists():
         raise FileNotFoundError(f"oracle cache missing: {path}; run `cutplane oracle` first")
@@ -315,6 +318,11 @@ def load_oracle(out: Path, family: str, preset: str, role: str) -> dict:
         raise ValueError(f"oracle file {path}: unsupported format {doc.get('format_version')!r}")
     if not isinstance(doc.get("entries"), dict):
         raise ValueError(f"malformed oracle file {path}: no 'entries' object")
+    for iid, entry in doc["entries"].items():
+        value = entry.get("value", "") if isinstance(entry, dict) else ""
+        if not (value is None or isinstance(value, (int, float))):
+            raise ValueError(f"malformed oracle file {path}: entry {iid} has no numeric "
+                             "or null 'value'")
     return doc["entries"]
 
 
@@ -546,6 +554,10 @@ def cmd_analyze(cfg: Settings) -> None:
     out = Path(cfg.get("out"))
     role = cfg.get("role") or "test"
     policies = parse_policies(cfg.get_or("policies", "random,lookahead"))
+    removal = [p for p in policies if p in REMOVAL_KINDS]
+    if removal:
+        raise ValueError(f"analyze reads the pool scores of add-only trajectories; "
+                         f"removal trajectories record none: {','.join(removal)}")
     max_iters = int(cfg.get("max_iters"))
     for policy in policies:
         trajectories = _load_trajectories(out, family, preset, role, policy)

@@ -50,7 +50,7 @@ TRAJECTORY_FORMAT_VERSION = 1
 class RunConfig:
     max_iters: int = 30
     arithmetic: str = FLOAT
-    seed: int = 0
+    seed: int = 0  # seeds the random policies' draws; recorded in the trajectory
     record_scores: bool = False  # record one-cut-added LP values for every pool cut
 
     def __post_init__(self):
@@ -124,6 +124,7 @@ def _run(lp: LinearProgram, policy: "_policies.Policy", cfg: RunConfig,
     registry: dict[int, Cut] = {}
     records: list[IterationRecord] = []
     status = ITER_LIMIT
+    rng = np.random.default_rng(cfg.seed)
     for k in range(1, cfg.max_iters + 1):
         lp_k = apply_cuts(lp, P)
         sf, sol = _solve(lp_k, cfg)
@@ -149,13 +150,13 @@ def _run(lp: LinearProgram, policy: "_policies.Policy", cfg: RunConfig,
             raw = None
             if cfg.record_scores or policy.kind == _policies.LOOKAHEAD:
                 raw = _policies.lookahead_add_scores(pool, state)
-            chosen = _policies.select_addition(pool, state, policy, precomputed_scores=raw)
+            chosen = _policies.select_addition(pool, state, policy, rng, precomputed_scores=raw)
             records.append(_record(k, vk, pool, P, [chosen], [], xk,
                                    raw.tolist() if raw is not None else None))
             P = P + [registry[chosen]]
         else:
             cands = state.candidates()
-            scores = _policies.score_candidates(cands, state, policy)
+            scores = _policies.score_candidates(cands, state, policy, rng)
             retained = _policies.select_retained(cands, scores, budget=k + 1)
             kept = set(retained)
             bc = bound_cut(lp.objective, vk, next(ids), k)
@@ -186,7 +187,7 @@ def _record(k, vk, pool, P, selected, removed, xk, pool_scores) -> IterationReco
 def run_policy(lp: LinearProgram, policy_name: str, cfg: RunConfig,
                instance_id: str = "", model=None) -> Trajectory:
     """Dispatch a policy name (CLI vocabulary) to the right loop."""
-    policy = _policies.Policy(policy_name, rng_seed=cfg.seed, model=model)
+    policy = _policies.Policy(policy_name, model=model)
     run = run_removal if policy_name in _policies.REMOVAL_KINDS else run_add_only
     return run(lp, policy, cfg, instance_id)
 

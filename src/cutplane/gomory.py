@@ -91,9 +91,8 @@ class CutPlaneState:
     ``solved`` holds that LP's standard form and optimal solution, as the
     loop solved it: add look-ahead re-optimizes each pool cut into its
     tableau, and leave-one-out scoring reads off its basis which candidates
-    are slack.  ``None`` (a replayed or hand-built state) means every
-    scoring LP is solved cold.  A cold scoring LP uses the arithmetic of
-    ``solved``'s tableau, or float without it.
+    are slack, both in its arithmetic.  ``None`` marks a replayed or
+    hand-built state, which features read but no look-ahead scorer can.
     """
 
     base: LinearProgram

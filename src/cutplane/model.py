@@ -267,21 +267,23 @@ def build_dataset(
     Each iteration k is replayed by re-solving (H u P_k) in the trajectory's
     own arithmetic (``traj.arithmetic``); a disagreement with
     the recorded value beyond ``REPLAY_TOL`` raises :class:`ReplayMismatch`.
-    Pool cuts use the recorded one-cut-added LP values when present (they are
-    the look-ahead scores) and are re-solved otherwise; cuts already active in
-    P_k change nothing when re-added, so their label is exactly zero.
+    That replay is the only solve: a pool cut's label is its recorded
+    look-ahead score, none when that is non-finite, and a record without one
+    score per pool cut raises ValueError.  Cuts already active in P_k change
+    nothing when re-added, so their label is exactly zero.
     """
     out: list[TrainSample] = []
     for traj in trajectories:
         lp = instances[traj.instance_id]
         for rec in traj.records:
-            pool_ids = rec.pool_ids
+            pool_ids, raw = rec.pool_ids, rec.pool_scores
             if not pool_ids:
                 continue
+            if raw is None or len(raw) != len(pool_ids):
+                raise ValueError(f"{traj.instance_id} iter {rec.k}: no score per pool cut")
             active = [traj.cuts[i] for i in rec.active_ids]
             pool_cuts = [traj.cuts[i] for i in pool_ids]
-            lp_k = apply_cuts(lp, active)
-            sol = solve_lp(lp_k, mode=traj.arithmetic)
+            sol = solve_lp(apply_cuts(lp, active), mode=traj.arithmetic)
             if sol.status != OPTIMAL:
                 raise ReplayMismatch(
                     f"{traj.instance_id} iter {rec.k}: replayed LP is {sol.status}")
@@ -290,34 +292,17 @@ def build_dataset(
                 raise ReplayMismatch(
                     f"{traj.instance_id} iter {rec.k}: replayed value {vk} vs recorded {rec.lp_value}")
             denom = max(abs(vk), TARGET_DENOM_FLOOR)
-            state = _replay_state(lp, active, pool_cuts, rec)
-            raw = rec.pool_scores
-            for idx, cut in enumerate(pool_cuts):
-                if raw is not None and raw[idx] is not None and math.isfinite(raw[idx]):
-                    with_cut = float(raw[idx])
-                else:
-                    s = solve_lp(apply_cuts(lp_k, [cut]), mode=traj.arithmetic)
-                    if s.status != OPTIMAL:
-                        continue
-                    with_cut = float(s.value)
-                target = (with_cut - vk) / denom
-                out.append(TrainSample(encode(cut, state), target, family,
-                                       traj.instance_id, rec.k))
+            # The replayed state is only encoded; it carries no ``solved`` LP to score.
+            state = CutPlaneState(lp, active, CutPool(pool_cuts), rec.k,
+                                  np.asarray(rec.x_star, dtype=float), rec.lp_value)
+            for cut, with_cut in zip(pool_cuts, raw):
+                if math.isfinite(with_cut):
+                    out.append(TrainSample(encode(cut, state), (with_cut - vk) / denom, family,
+                                           traj.instance_id, rec.k))
             for cut in active:
                 out.append(TrainSample(encode(cut, state), 0.0, family,
                                        traj.instance_id, rec.k))
     return out
-
-
-def _replay_state(lp, active, pool_cuts, rec) -> CutPlaneState:
-    return CutPlaneState(
-        base=lp,
-        active_cuts=active,
-        pool=CutPool(pool_cuts),
-        iter=rec.k,
-        x_star=np.asarray(rec.x_star, dtype=float),
-        lp_value=rec.lp_value,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,32 +49,29 @@ class EmptyPool(ValueError):
 @dataclass
 class Policy:
     """One cut-selection behavior: an addition kind picks one pool cut, a
-    removal kind scores every candidate."""
+    removal kind scores every candidate.  It holds no state: the random kinds
+    draw from the generator the loop seeds with ``RunConfig.seed``."""
 
     kind: str
-    rng_seed: int = 0
     model: Optional[MlpParams] = None
-    _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ADDITION_KINDS + REMOVAL_KINDS:
             raise ValueError(f"unknown policy {self.kind!r}")
         if self.kind in (NEURAL, REMOVE_NEURAL) and self.model is None:
             raise ValueError(f"{self.kind} policy requires a model")
-        self._rng = np.random.default_rng(self.rng_seed)
 
 
 def _solve_value(lp, state, cut: Optional[Cut] = None) -> float:
     """LP value of ``lp`` solved cold, or of ``lp`` plus ``cut``'s row re-optimized
     from ``state.solved``, ``lp``'s optimum; -inf on solver failure (logged).
 
-    A cold solve runs in the arithmetic of ``state.solved``'s tableau, or in
-    float when the state carries no solution.
+    Either solve runs in the arithmetic of ``state.solved``'s tableau, the LP
+    the loop solved this iteration.
     """
     try:
         if cut is None:
-            exact = state.solved is not None and state.solved[1].tableau.exact
-            sol = solve_lp(lp, mode=RATIONAL if exact else FLOAT)
+            sol = solve_lp(lp, mode=RATIONAL if state.solved[1].tableau.exact else FLOAT)
         else:
             sol = solve_warm(lp, state.solved[1], cut.alpha, cut.beta)
     except CycleLimitExceeded as exc:
@@ -89,24 +86,19 @@ def _solve_value(lp, state, cut: Optional[Cut] = None) -> float:
 def lookahead_add_scores(pool: CutPool, state: CutPlaneState) -> np.ndarray:
     """Score of a cut = LP value of (H u P_k u {cut}); one LP per cut.
 
-    With ``state.solved`` set, the optimum of (H u P_k), each cut's row is
-    re-optimized into its tableau, in its arithmetic; a hand-built or
-    replayed state (``solved=None``) solves every LP cold, in float.
+    Each cut's row is re-optimized into ``state.solved``'s tableau, the loop's
+    optimum of (H u P_k), in its arithmetic.  The loop records these scores;
+    they are the training labels of ``model.build_dataset``.
     """
     base = apply_cuts(state.base, state.active_cuts)
-    if state.solved is None:
-        return np.array([_solve_value(apply_cuts(base, [c]), state) for c in pool.cuts])
     return np.array([_solve_value(base, state, c) for c in pool.cuts])
 
 
 def _basic_slack_mask(candidates: Sequence[Cut], state: CutPlaneState) -> np.ndarray:
     """Which candidates have their slack basic in ``state.solved``'s optimum.
 
-    Candidates are the rows after ``state.base``'s, in order.  All False when
-    the state carries no solution.
+    Candidates are the rows after ``state.base``'s, in order.
     """
-    if state.solved is None:
-        return np.zeros(len(candidates), dtype=bool)
     sf, sol = state.solved
     first = state.base.num_rows
     if sf.num_rows != first + len(candidates):
@@ -148,18 +140,20 @@ def select_addition(
     pool: CutPool,
     state: CutPlaneState,
     policy: Policy,
+    rng: np.random.Generator,
     precomputed_scores: Optional[np.ndarray] = None,
 ) -> int:
     """Pick one cut id from the pool; ties always break toward the lowest id.
 
-    Look-ahead values within ``TIE_REL * (1 + |best|)`` of the best are ties.
+    ``random`` draws from ``rng``; ``lookahead`` ranks ``precomputed_scores``, the
+    loop's look-ahead scores, with ties within ``TIE_REL * (1 + |best|)`` of the best.
     """
     cuts = pool.cuts
     if not cuts:
         raise EmptyPool("cannot select from an empty cutpool")
     kind = policy.kind
     if kind == RANDOM:
-        return cuts[int(policy._rng.integers(len(cuts)))].id
+        return cuts[int(rng.integers(len(cuts)))].id
     if kind == MAX_VIOLATION:
         return _argbest(cuts, [c.frac_dist for c in cuts])
     if kind == MAX_NORM_VIOLATION:
@@ -176,10 +170,7 @@ def select_addition(
             sims.append(float(c.alpha @ c_obj) / (an * cn) if an * cn > 1e-12 else 0.0)
         return _argbest(cuts, [-s for s in sims])
     if kind == LOOKAHEAD:
-        scores = precomputed_scores
-        if scores is None:
-            scores = lookahead_add_scores(pool, state)
-        return _argbest(cuts, scores, TIE_REL)
+        return _argbest(cuts, precomputed_scores, TIE_REL)
     if kind == NEURAL:
         return _argbest(cuts, _neural_scores(cuts, state, policy.model))
     raise ValueError(f"{kind!r} is not an addition policy")
@@ -193,13 +184,13 @@ def _argbest(cuts: Sequence[Cut], scores, rel_tol: float = 0.0) -> int:
 
 
 def score_candidates(candidates: Sequence[Cut], state: CutPlaneState,
-                     policy: Policy) -> np.ndarray:
+                     policy: Policy, rng: np.random.Generator) -> np.ndarray:
     if policy.kind == REMOVE_LOOKAHEAD:
         return lookahead_remove_scores(candidates, state)
     if policy.kind == REMOVE_NEURAL:
         return _neural_scores(candidates, state, policy.model)
     if policy.kind == REMOVE_RANDOM:
-        return policy._rng.random(len(candidates))
+        return rng.random(len(candidates))
     raise ValueError(f"{policy.kind!r} is not a removal policy")
 
 

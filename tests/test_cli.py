@@ -112,6 +112,16 @@ def test_analyze_m2_in_unit_interval(run_dir):
             assert all(-1e-12 <= v <= 1.0 + 1e-12 for v in vals)
 
 
+def test_analyze_refuses_removal_policies(run_dir):
+    """Removal trajectories record no pool scores, so their distribution files
+    would hold no values: analyze names the removal kinds and writes nothing."""
+    base = ["--family", "packing", "--preset", "tiny", "--out", str(run_dir)]
+    main(["collect", "--role", "test", "--policies", "remove-random", "--max-iters", "3"] + base)
+    with pytest.raises(ValueError, match="remove-random"):
+        main(["analyze", "--max-iters", "3", "--policies", "random,remove-random"] + base)
+    assert not list(run_dir.glob("dist_*remove-random.csv"))
+
+
 def test_eval_missing_model_errors(run_dir):
     with pytest.raises(MissingModel):
         main(["eval", "--family", "packing", "--preset", "tiny", "--out", str(run_dir),
@@ -171,10 +181,15 @@ def test_unknown_config_key_rejected(tmp_path, key):
     "[]",
     '{"format_version": 2, "entries": {}}',
     '{"format_version": 1}',
-], ids=["truncated", "list", "version-2", "no-entries"])
+    '{"format_version": 1, "entries": {"p-7": {"status": "optimal"}}}',
+    '{"format_version": 1, "entries": {"p-7": 3.5}}',
+    '{"format_version": 1, "entries": {"p-7": {"value": "3.5"}}}',
+], ids=["truncated", "list", "version-2", "no-entries", "entry-no-value", "entry-not-object",
+        "entry-string-value"])
 def test_malformed_oracle_file_raises_value_error_naming_path(tmp_path, text):
     path = oracle_path(tmp_path, "packing", "tiny", "test")
     path.parent.mkdir(parents=True)
     path.write_text(text)
-    with pytest.raises(ValueError, match=re.escape(str(path))):
+    with pytest.raises(ValueError, match=re.escape(str(path))) as err:
         load_oracle(tmp_path, "packing", "tiny", "test")
+    assert ("p-7" in str(err.value)) == ("p-7" in text)

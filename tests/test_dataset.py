@@ -47,17 +47,64 @@ def test_sample_count(lookahead_traj):
     assert len(samples) == expected
 
 
+def _copy(traj, **record_fields):
+    """A copy of ``traj`` whose records can be edited without touching it."""
+    out = type(traj)(**{**traj.__dict__})
+    out.records = [type(r)(**{**r.__dict__, **record_fields}) for r in traj.records]
+    return out
+
+
 def test_targets_match_lookahead_scores(lookahead_traj):
-    """Recorded-score targets equal freshly re-solved ones within 1e-6."""
+    """At every iteration, each pool cut's label is its cold one-cut-added
+    improvement (value(H u P_k u {cut}) - v_k) / max(|v_k|, 1e-6) within 1e-6."""
     lp, traj = lookahead_traj
-    with_scores = build_dataset([traj], {"p11": lp}, family="packing")
-    stripped = type(traj)(**{**traj.__dict__})
-    stripped.records = [type(r)(**{**r.__dict__, "pool_scores": None}) for r in traj.records]
-    recomputed = build_dataset([stripped], {"p11": lp}, family="packing")
-    assert len(with_scores) == len(recomputed)
-    for a, b in zip(with_scores, recomputed):
-        assert a.target == pytest.approx(b.target, abs=1e-6)
+    samples = iter(build_dataset([traj], {"p11": lp}, family="packing"))
+    checked = 0
+    for rec in traj.records:
+        if not rec.pool_ids:
+            continue
+        active = [traj.cuts[i] for i in rec.active_ids]
+        vk = solve_lp(apply_cuts(lp, active)).value
+        for cid in rec.pool_ids:
+            s = next(samples)
+            val = solve_lp(apply_cuts(lp, active + [traj.cuts[cid]])).value
+            assert (s.iteration, s.features[-1]) == (rec.k, 1.0)
+            assert s.target == pytest.approx((val - vk) / max(abs(vk), 1e-6), abs=1e-6)
+            checked += 1
+        for _ in active:
+            assert next(samples).features[-1] == 0.0
+    assert checked > len(traj.records[0].pool_ids)
+
+
+def test_non_finite_score_loses_only_its_sample_and_nothing_is_resolved(lookahead_traj,
+                                                                         monkeypatch):
+    lp, traj = lookahead_traj
+    full = build_dataset([traj], {"p11": lp}, family="packing")
+    k = next(i for i, r in enumerate(traj.records) if i > 0 and len(r.pool_ids) > 1)
+    lost = sum(len(r.pool_ids) + len(r.active_ids) for r in traj.records[:k] if r.pool_ids) + 1
+    broken = _copy(traj)
+    broken.records[k].pool_scores = list(traj.records[k].pool_scores)
+    broken.records[k].pool_scores[1] = -np.inf
+    real, solves = model.solve_lp, []
+
+    def spy(lp, mode=FLOAT):
+        solves.append(lp.num_rows)
+        return real(lp, mode)
+
+    monkeypatch.setattr(model, "solve_lp", spy)
+    samples = build_dataset([broken], {"p11": lp}, family="packing")
+    assert len(samples) == len(full) - 1
+    for a, b in zip(samples, full[:lost] + full[lost + 1:]):
+        assert (a.target, a.iteration) == (b.target, b.iteration)
         np.testing.assert_array_equal(a.features, b.features)
+    replays = [lp.num_rows + len(r.active_ids) for r in traj.records if r.pool_ids]
+    assert solves == replays
+
+
+def test_record_without_pool_scores_raises_value_error_naming_instance(lookahead_traj):
+    lp, traj = lookahead_traj
+    with pytest.raises(ValueError, match="p11 iter 1"):
+        build_dataset([_copy(traj, pool_scores=None)], {"p11": lp}, family="packing")
 
 
 def test_targets_nonnegative_and_active_cuts_zero(lookahead_traj):
@@ -85,8 +132,7 @@ def test_target_value_spotcheck(lookahead_traj):
 
 def test_replay_mismatch_detection(lookahead_traj):
     lp, traj = lookahead_traj
-    corrupted = type(traj)(**{**traj.__dict__})
-    corrupted.records = [type(r)(**{**r.__dict__}) for r in traj.records]
+    corrupted = _copy(traj)
     corrupted.records[0].lp_value += 0.5
     with pytest.raises(ReplayMismatch):
         build_dataset([corrupted], {"p11": lp}, family="packing")

@@ -73,8 +73,7 @@ def test_lookahead_strictly_improves_first_iteration():
 def test_add_only_lp_values_nondecreasing(policy):
     for seed in range(3):
         lp = packing_lp(seed)
-        traj = run_add_only(lp, Policy(policy, rng_seed=seed),
-                            RunConfig(max_iters=8))
+        traj = run_add_only(lp, Policy(policy), RunConfig(max_iters=8, seed=seed))
         v = traj.lp_values
         assert np.all(np.diff(v) >= -1e-7)
 
@@ -82,7 +81,7 @@ def test_add_only_lp_values_nondecreasing(policy):
 def test_removal_budget_bookkeeping():
     """|P_1| = 0 and |P_{k+1}| = min(k+1, |P_k u C_k|) + 1 (retained plus bound cut)."""
     lp = packing_lp(3)
-    traj = run_removal(lp, Policy("remove-random", rng_seed=0), RunConfig(max_iters=8))
+    traj = run_removal(lp, Policy("remove-random"), RunConfig(max_iters=8, seed=0))
     recs = traj.records
     assert recs[0].n_active == 0
     for prev, cur in zip(recs, recs[1:]):
@@ -122,8 +121,7 @@ def test_removal_preserves_integer_optimum():
 
 def test_old_bound_cuts_are_regular_candidates():
     lp = packing_lp(2)
-    traj = run_removal(lp, Policy("remove-random", rng_seed=1),
-                       RunConfig(max_iters=8))
+    traj = run_removal(lp, Policy("remove-random"), RunConfig(max_iters=8, seed=1))
     bound_ids = {i for i, c in traj.cuts.items() if c.kind == BOUND}
     assert bound_ids
     seen_as_candidate_again = any(
@@ -228,6 +226,20 @@ def test_unreadable_trajectory_file_raises_value_error_naming_path(tmp_path, tex
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load_trajectory(path)
+
+
+@pytest.mark.parametrize("kind", ["random", "remove-random"])
+@pytest.mark.parametrize("family", ["packing", "set_cover"])
+def test_trajectory_seed_decides_random_draws(family, kind):
+    """The recorded RunConfig.seed fixes a random policy's draws: one Policy
+    runs the same trajectory twice, and a direct loop call equals run_policy."""
+    lp = generate(InstanceSpec(family, "small", 1))
+    cfg = RunConfig(max_iters=8, seed=3)
+    run = run_removal if kind == "remove-random" else run_add_only
+    policy = Policy(kind)
+    first = trajectory_to_dict(run(lp, policy, cfg))
+    assert trajectory_to_dict(run(lp, policy, cfg)) == first
+    assert trajectory_to_dict(run_policy(lp, kind, cfg)) == first
 
 
 def test_trajectories_deterministic():

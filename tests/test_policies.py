@@ -38,13 +38,17 @@ def two_var_state():
     sf = to_standard_form(lp)
     sol = solve_simplex(sf, lp.objective)
     pool = generate_cutpool(sol, sf, lp, id_counter=itertools.count(), born_iter=1)
-    state = CutPlaneState(lp, [], pool, 1, np.asarray(sol.x, float), float(sol.value))
+    state = CutPlaneState(lp, [], pool, 1, np.asarray(sol.x, float), float(sol.value), (sf, sol))
     return lp, pool, state
 
 
 def dummy_cut(cid, frac=0.5, basic=0, norm=1.0, born=1, alpha=(1.0, 1.0), beta=1.0):
     return Cut(alpha=np.array(alpha), beta=beta, id=cid, born_iter=born,
                basic_var=basic, row_norm=norm, frac_dist=frac)
+
+
+def rng():
+    return np.random.default_rng(0)
 
 
 def dummy_state(cuts, k=1):
@@ -56,55 +60,57 @@ def test_single_cut_pool_every_policy():
     cut = dummy_cut(7)
     state = dummy_state([cut])
     for kind in ("random", "mv", "mnv", "lex", "minsim"):
-        assert select_addition(state.pool, state, Policy(kind)) == 7
+        assert select_addition(state.pool, state, Policy(kind), rng()) == 7
 
 
 def test_empty_pool_raises():
     state = dummy_state([])
     with pytest.raises(EmptyPool):
-        select_addition(state.pool, state, Policy("random"))
+        select_addition(state.pool, state, Policy("random"), rng())
 
 
 def test_mv_picks_most_fractional():
     cuts = [dummy_cut(0, frac=0.5, basic=1), dummy_cut(1, frac=0.1, basic=0)]
     state = dummy_state(cuts)
-    assert select_addition(state.pool, state, Policy("mv")) == 0
+    assert select_addition(state.pool, state, Policy("mv"), rng()) == 0
 
 
 def test_mnv_divides_by_row_norm():
     cuts = [dummy_cut(0, frac=0.5, norm=10.0), dummy_cut(1, frac=0.3, norm=1.0)]
     state = dummy_state(cuts)
-    assert select_addition(state.pool, state, Policy("mnv")) == 1
+    assert select_addition(state.pool, state, Policy("mnv"), rng()) == 1
 
 
 def test_lex_picks_smallest_fractional_index():
     cuts = [dummy_cut(0, basic=5), dummy_cut(1, basic=2)]
     state = dummy_state(cuts)
-    assert select_addition(state.pool, state, Policy("lex")) == 1
+    assert select_addition(state.pool, state, Policy("lex"), rng()) == 1
 
 
 def test_minsim_picks_least_objective_aligned():
     cuts = [dummy_cut(0, alpha=(1.0, 2.0)), dummy_cut(1, alpha=(-1.0, -2.0))]
     state = dummy_state(cuts)
     # objective (1, 2): cut 1 points against it -> cosine -1 -> selected
-    assert select_addition(state.pool, state, Policy("minsim")) == 1
+    assert select_addition(state.pool, state, Policy("minsim"), rng()) == 1
 
 
 def test_random_deterministic_given_seed():
     cuts = [dummy_cut(i) for i in range(6)]
     state = dummy_state(cuts)
-    picks1 = [select_addition(state.pool, state, Policy("random", rng_seed=3))
-              for _ in range(1)]
-    picks2 = [select_addition(state.pool, state, Policy("random", rng_seed=3))
-              for _ in range(1)]
-    assert picks1 == picks2
+    policy = Policy("random")
+
+    def picks():
+        gen = np.random.default_rng(3)
+        return [select_addition(state.pool, state, policy, gen) for _ in range(8)]
+
+    assert picks() == picks()
 
 
 def test_lookahead_attains_maximum():
     lp, pool, state = two_var_state()
     scores = lookahead_add_scores(pool, state)
     assert np.all(scores >= state.lp_value - 1e-9)
-    chosen = select_addition(pool, state, Policy("lookahead"))
+    chosen = select_addition(pool, state, Policy("lookahead"), rng(), precomputed_scores=scores)
     idx = pool.ids().index(chosen)
     # brute force: each augmented LP value, chosen must attain the max
     brute = [solve_lp(apply_cuts(lp, [c])).value for c in pool.cuts]
@@ -117,9 +123,10 @@ def test_remove_scores_nonnegative_and_inactive_zero():
     # append a far-away redundant cut: x1 + x2 <= 100 never binds
     loose = Cut(alpha=np.array([1.0, 1.0]), beta=100.0, id=999, born_iter=1)
     cands = list(pool.cuts) + [loose]
-    full = solve_lp(apply_cuts(lp, cands))
+    sf = to_standard_form(apply_cuts(lp, cands))
+    full = solve_simplex(sf, lp.objective)
     state_full = CutPlaneState(lp, [], CutPool(cands), 1,
-                               np.asarray(full.x, float), float(full.value))
+                               np.asarray(full.x, float), float(full.value), (sf, full))
     scores = lookahead_remove_scores(cands, state_full)
     assert np.all(scores >= 0.0)
     assert scores[-1] == pytest.approx(0.0, abs=1e-9)
