@@ -5,14 +5,21 @@ output content (results are keyed and sorted by instance id), CSV floats are
 printed with repr, and wall-clock timings go to the log, never into output
 files, so re-runs are byte-identical.
 
-A flat key=value config file can stand in for any flag (flags win).  Keys
-beyond the flags: node_limit, epochs, lr, batch_size, patience, layer_dims.
-A default the library also has is read from it (RunConfig, Hyperparams,
-model.LAYER_DIMS, oracle.NODE_LIMIT), not copied; the solver tolerances are
-constants of ``cutplane.lp``, not settings.  ``--arith`` is read by
-``collect`` and ``eval``; ``train`` replays each trajectory in its own.
-``--seed`` is read by ``gen`` and ``train``; ``collect`` and ``eval`` run
-each instance with the seed its instance file records.
+Each command reads only its own settings, which ``SETTINGS`` lists with their
+defaults.  Every command takes --family, --preset, --out and --workers (the
+last used only by oracle, collect and eval); besides, gen reads count and
+seed; oracle role and node_limit; collect and eval role, policies,
+max_iters, arith and model; train model, seed, epochs, lr, batch_size,
+patience and layer_dims; analyze role, policies and max_iters.  A flag the
+command does not read is a usage error.  A flat key=value file given with
+--config can set any of them (flags win; node_limit, epochs, lr, batch_size,
+patience and layer_dims have no flag): a key no command reads is an error,
+and one only other commands read is ignored, so one file serves the pipeline.
+The ``config=`` provenance hash digests the content settings the command
+reads, at their effective values.  A default the library also has is read
+from it (RunConfig, Hyperparams, model.LAYER_DIMS, oracle.NODE_LIMIT).
+``train`` replays each trajectory in its own arithmetic; ``collect`` and
+``eval`` run each instance with the seed its instance file records.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import sys
 import time
 from dataclasses import fields
@@ -31,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .analysis import distribution_matrices
 from .engine import (
     RunConfig,
     compute_igc,
@@ -60,24 +67,27 @@ ROLE_OFFSETS = {"train": 0, "val": 1_000_000, "test": 2_000_000}
 RETRY_STRIDE = 100_000_000
 ORACLE_FORMAT_VERSION = 1
 
-DEFAULTS = {
-    "family": "packing",
-    "preset": "small",
-    "count": "20,10,20",
-    "seed": 0,
-    "policies": "random,mv,mnv,lex,minsim,lookahead,remove-lookahead",
-    "max_iters": RunConfig.max_iters,
-    "model": None,
-    "out": "runs",
-    "workers": 1,
-    "arith": RunConfig.arithmetic,
-    "role": None,
-    "node_limit": NODE_LIMIT,
-    "epochs": Hyperparams.epochs,
-    "lr": Hyperparams.lr,
-    "batch_size": Hyperparams.batch_size,
-    "patience": Hyperparams.patience,
-    "layer_dims": ",".join(map(str, LAYER_DIMS)),
+COMMON = {"family": "packing", "preset": "small", "out": "runs", "workers": 1}
+_RUN = {"max_iters": RunConfig.max_iters, "arith": RunConfig.arithmetic, "model": None}
+SETTINGS = {command: {**COMMON, **own} for command, own in {
+    "gen": {"count": "20,10,20", "seed": 0},
+    "oracle": {"role": "test", "node_limit": NODE_LIMIT},
+    "collect": {"role": "train,val", "policies": "lookahead", **_RUN},
+    "train": {"model": None, "seed": Hyperparams.seed, "epochs": Hyperparams.epochs,
+              "lr": Hyperparams.lr, "batch_size": Hyperparams.batch_size,
+              "patience": Hyperparams.patience, "layer_dims": ",".join(map(str, LAYER_DIMS))},
+    "eval": {"role": "test", "policies": "random,mv,mnv,lex,minsim,lookahead,remove-lookahead",
+             **_RUN},
+    "analyze": {"role": "test", "policies": "random,lookahead",
+                "max_iters": RunConfig.max_iters},
+}.items()}
+# The command-line flag of each key that has one; the others are config-file only.
+FLAGS = {
+    "family": {"choices": FAMILIES},
+    "preset": {"choices": tuple(PRESETS["packing"])},
+    "count": {}, "seed": {"type": int}, "policies": {}, "max_iters": {"type": int},
+    "model": {}, "out": {}, "workers": {"type": int},
+    "arith": {"choices": (FLOAT, RATIONAL)}, "role": {},
 }
 
 
@@ -105,46 +115,34 @@ def read_config_file(path) -> dict:
 
 
 class Settings:
-    """Flag > config file > default, with casts driven by the default's type."""
+    """One command's settings: flag > config file > its SETTINGS default,
+    a file value cast like the default."""
 
-    def __init__(self, args: argparse.Namespace, file_cfg: dict):
-        self._args = vars(args)
-        self._file = file_cfg
+    def __init__(self, command: str, flags: dict, file_cfg: dict):
         for key in file_cfg:
-            if key not in DEFAULTS:
+            if not any(key in own for own in SETTINGS.values()):
                 raise ValueError(f"unknown config key {key!r}")
-
-    def provided(self, key) -> bool:
-        return self._args.get(key) is not None or key in self._file
+        self._defaults, self._flags, self._file = SETTINGS[command], flags, file_cfg
 
     def get(self, key):
-        flag = self._args.get(key)
+        default = self._defaults[key]
+        flag = self._flags.get(key)
         if flag is not None:
             return flag
         if key in self._file:
-            return _cast_like(DEFAULTS[key], self._file[key])
-        return DEFAULTS[key]
-
-    def get_or(self, key, fallback):
-        """Like get(), but with a command-specific fallback instead of the global default."""
-        return self.get(key) if self.provided(key) else fallback
+            raw = self._file[key]
+            return raw if default is None else type(default)(raw)
+        return default
 
     # Settings that change where work happens or how fast, never what comes out.
     _NON_CONTENT = ("out", "workers", "model")
 
     def hash(self) -> str:
-        """Stable digest of every content-affecting setting (metadata provenance)."""
-        keys = sorted(k for k in DEFAULTS if k not in self._NON_CONTENT)
-        text = ";".join(f"{k}={self.get(k)}" for k in keys)
+        """Stable digest of the content settings the command reads (metadata provenance)."""
+        keys = sorted(k for k in self._defaults if k not in self._NON_CONTENT)
+        # Content values are numbers, names and comma lists: whitespace is not content.
+        text = ";".join(f"{k}={''.join(str(self.get(k)).split())}" for k in keys)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
-def _cast_like(default, raw: str):
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
 
 
 def parse_counts(text) -> dict[str, int]:
@@ -165,6 +163,17 @@ def parse_policies(text) -> list[str]:
     if not names:
         raise ValueError("policy list is empty")
     return names
+
+
+def parse_roles(text, single=False) -> list[str]:
+    """The roles of a comma-separated list; ``single`` refuses more than one."""
+    roles = [r.strip() for r in str(text).split(",")]
+    for role in roles:
+        if role not in ROLES:
+            raise ValueError(f"unknown role {role!r}; choose from {list(ROLES)}")
+    if single and len(roles) > 1:
+        raise ValueError(f"--role takes one role here, not {','.join(roles)}")
+    return roles
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +217,7 @@ def _load_trajectories(out, family, preset, role, policy) -> list:
 
 
 def metadata_line(cfg: Settings, **extra) -> str:
-    tokens = [f"cutplane={__version__}", f"config={cfg.hash()}", f"seed={cfg.get('seed')}"]
+    tokens = [f"cutplane={__version__}", f"config={cfg.hash()}"]
     tokens += [f"{k}={v}" for k, v in sorted(extra.items())]
     return "# " + " ".join(tokens)
 
@@ -278,10 +287,9 @@ def _oracle_one(item):
 def cmd_oracle(cfg: Settings) -> None:
     family, preset = cfg.get("family"), cfg.get("preset")
     out = Path(cfg.get("out"))
-    roles = (cfg.get("role") or "test").split(",")
     node_limit = int(cfg.get("node_limit"))
     workers = int(cfg.get("workers"))
-    for role in (r.strip() for r in roles):
+    for role in parse_roles(cfg.get("role")):
         paths = list_instances(instances_dir(out, family, preset, role))
         t0 = time.time()
         results = _pool_map(workers, _oracle_one, [(p, node_limit) for p in paths])
@@ -363,11 +371,10 @@ def _collect_one(item):
 def cmd_collect(cfg: Settings) -> None:
     family, preset = cfg.get("family"), cfg.get("preset")
     out = Path(cfg.get("out"))
-    roles = (cfg.get("role") or "train,val").split(",")
-    policies = parse_policies(cfg.get_or("policies", "lookahead"))
+    policies = parse_policies(cfg.get("policies"))
     workers = int(cfg.get("workers"))
     run_kwargs = _run_kwargs(cfg, record_scores=True)
-    for role in (r.strip() for r in roles):
+    for role in parse_roles(cfg.get("role")):
         paths = list_instances(instances_dir(out, family, preset, role))
         for policy in policies:
             model_file = _model_for(policy, cfg.get("model"))
@@ -460,7 +467,7 @@ def _eval_one(item):
 def cmd_eval(cfg: Settings) -> None:
     family, preset = cfg.get("family"), cfg.get("preset")
     out = Path(cfg.get("out"))
-    role = cfg.get("role") or "test"
+    role = parse_roles(cfg.get("role"), single=True)[0]
     policies = parse_policies(cfg.get("policies"))
     workers = int(cfg.get("workers"))
     max_iters = int(cfg.get("max_iters"))
@@ -502,58 +509,11 @@ def cmd_eval(cfg: Settings) -> None:
 # ---------------------------------------------------------------------------
 
 
-def pool_metrics(record) -> tuple[np.ndarray, np.ndarray] | None:
-    """Per-cut M1 (improvement / |previous value|) and M2 (improvement / best
-    improvement in the pool) for one recorded iteration; None without scores."""
-    if not record.pool_scores:
-        return None
-    raw = np.array([s if s is not None else -math.inf for s in record.pool_scores])
-    impr = np.maximum(raw - record.lp_value, 0.0)
-    impr[~np.isfinite(impr)] = 0.0
-    m1 = impr / max(abs(record.lp_value), 1e-6)
-    top = impr.max() if impr.size else 0.0
-    m2 = np.clip(impr / top, 0.0, 1.0) if top > 1e-9 else np.zeros_like(impr)
-    return m1, m2
-
-
-def aggregate_distribution(per_iter: dict, max_iters: int) -> dict[str, np.ndarray]:
-    """Row k of D aggregates the sorted-descending metric over every
-    iteration-k cutpool, each position divided by its contributor count.
-    ``per_iter`` maps k -> list of (m1, m2) arrays."""
-    width = 0
-    for pools in per_iter.values():
-        for m1, _ in pools:
-            width = max(width, m1.size)
-    out = {}
-    for mi, name in ((0, "M1"), (1, "M2")):
-        D = np.zeros((max_iters, width))
-        for k in range(1, max_iters + 1):
-            sums = np.zeros(width)
-            counts = np.zeros(width)
-            for metrics in per_iter.get(k, []):
-                vals = np.sort(metrics[mi])[::-1]
-                sums[: vals.size] += vals
-                counts[: vals.size] += 1
-            D[k - 1] = sums / np.maximum(counts, 1)
-        out[name] = D
-    return out
-
-
-def distribution_matrices(trajectories, max_iters: int):
-    per_iter: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for traj in trajectories:
-        for rec in traj.records:
-            metrics = pool_metrics(rec)
-            if metrics is not None and rec.k <= max_iters:
-                per_iter.setdefault(rec.k, []).append(metrics)
-    return aggregate_distribution(per_iter, max_iters)
-
-
 def cmd_analyze(cfg: Settings) -> None:
     family, preset = cfg.get("family"), cfg.get("preset")
     out = Path(cfg.get("out"))
-    role = cfg.get("role") or "test"
-    policies = parse_policies(cfg.get_or("policies", "random,lookahead"))
+    role = parse_roles(cfg.get("role"), single=True)[0]
+    policies = parse_policies(cfg.get("policies"))
     removal = [p for p in policies if p in REMOVAL_KINDS]
     if removal:
         raise ValueError(f"analyze reads the pool scores of add-only trajectories; "
@@ -587,17 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("--family", choices=FAMILIES)
-        p.add_argument("--preset", choices=tuple(PRESETS["packing"]))
-        p.add_argument("--count")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--policies")
-        p.add_argument("--max-iters", dest="max_iters", type=int)
-        p.add_argument("--model")
-        p.add_argument("--out")
-        p.add_argument("--workers", type=int)
-        p.add_argument("--arith", choices=(FLOAT, RATIONAL))
-        p.add_argument("--role")
+        for key in SETTINGS[name]:
+            if key in FLAGS:
+                p.add_argument("--" + key.replace("_", "-"), **FLAGS[key])
         p.add_argument("--config")
     return parser
 
@@ -614,10 +566,9 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
-    file_cfg = read_config_file(args.config) if args.config else {}
-    cfg = Settings(args, file_cfg)
-    COMMANDS[args.command](cfg)
+    args = vars(build_parser().parse_args(argv))
+    file_cfg = read_config_file(args["config"]) if args["config"] else {}
+    COMMANDS[args["command"]](Settings(args["command"], args, file_cfg))
     return 0
 
 

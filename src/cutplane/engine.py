@@ -131,7 +131,7 @@ def _run(lp: LinearProgram, policy: "_policies.Policy", cfg: RunConfig,
         if sol is None:
             status = NUMERICAL_FAILURE
             break
-        pool = generate_cutpool(sol, sf, lp_k, id_counter=ids, born_iter=k)
+        pool = generate_cutpool(sol, sf, id_counter=ids, born_iter=k)
         registry.update({c.id: c for c in pool.cuts})
         if mode == REMOVAL and pool.cuts:
             sf, sol = _solve(apply_cuts(lp_k, pool.cuts), cfg)

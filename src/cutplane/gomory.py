@@ -115,7 +115,6 @@ SNAP_LIMIT = 2.0 ** 53
 def generate_cutpool(
     sol: LpSolution,
     sf: StandardForm,
-    lp: LinearProgram,
     id_counter: Optional[Iterator[int]] = None,
     born_iter: int = 0,
 ) -> CutPool:

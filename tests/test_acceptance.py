@@ -15,7 +15,8 @@ import pytest
 from _acceptance_report import record
 from brute_force import enumerate_integer_points, integer_box
 
-from cutplane.cli import aggregate_distribution, main as cli_main, pool_metrics
+from cutplane.analysis import aggregate_distribution, pool_metrics
+from cutplane.cli import main as cli_main
 from cutplane.engine import (
     INTEGRAL_FOUND,
     NUMERICAL_FAILURE,

@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 from cutplane.cli import (
+    SETTINGS,
     MissingModel,
     Settings,
+    build_parser,
     load_oracle,
     main,
     oracle_path,
     parse_counts,
     parse_policies,
+    parse_roles,
     read_config_file,
 )
 from cutplane.engine import load_trajectory
@@ -155,12 +158,7 @@ def test_config_file_flag_precedence(tmp_path):
     parsed = read_config_file(cfg_file)
     assert parsed == {"max_iters": "12", "family": "set_cover"}
 
-    class Args:
-        pass
-
-    ns = {"max_iters": 3, "family": None, "config": str(cfg_file)}
-    import argparse
-    settings = Settings(argparse.Namespace(**ns), parsed)
+    settings = Settings("collect", {"max_iters": 3, "family": None}, parsed)
     assert settings.get("max_iters") == 3          # flag wins
     assert settings.get("family") == "set_cover"   # file fills the gap
     assert settings.get("preset") == "small"       # default remains
@@ -171,9 +169,9 @@ def test_config_file_flag_precedence(tmp_path):
 def test_unknown_config_key_rejected(tmp_path, key):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text(f"{key}=1\n")
-    import argparse
-    with pytest.raises(ValueError):
-        Settings(argparse.Namespace(), read_config_file(cfg_file))
+    for command in SETTINGS:
+        with pytest.raises(ValueError):
+            Settings(command, {}, read_config_file(cfg_file))
 
 
 @pytest.mark.parametrize("text", [
@@ -193,3 +191,98 @@ def test_malformed_oracle_file_raises_value_error_naming_path(tmp_path, text):
     with pytest.raises(ValueError, match=re.escape(str(path))) as err:
         load_oracle(tmp_path, "packing", "tiny", "test")
     assert ("p-7" in str(err.value)) == ("p-7" in text)
+
+
+def _config_of(path: Path) -> str:
+    """The provenance hash in the metadata line of a CSV output."""
+    return re.search(r"config=([0-9a-f]{12})", path.read_text().splitlines()[0]).group(1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--policies", "mv"],
+    ["collect", "--seed", "5"],
+    ["train", "--arith", "rational"],
+    ["train", "--max-iters", "3"],
+    ["analyze", "--model", "m.json"],
+    ["eval", "--count", "1"],
+], ids=" ".join)
+def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_each_command_has_only_its_own_flags():
+    """family, preset, out, workers and config on every command, plus its own keys."""
+    common = {"config", "family", "out", "preset", "workers"}
+    run = {"arith", "max_iters", "model", "policies", "role"}
+    own = {"gen": {"count", "seed"}, "oracle": {"role"}, "collect": run,
+           "train": {"model", "seed"}, "eval": run,
+           "analyze": {"max_iters", "policies", "role"}}
+    parser = build_parser()
+    slots = {name: set(vars(parser.parse_args([name]))) - {"command"} for name in own}
+    assert slots == {name: common | keys for name, keys in own.items()}
+    assert sum(map(len, slots.values())) == 48
+
+
+def test_config_hash_names_the_settings_the_command_reads(run_dir, tmp_path):
+    base = ["--family", "packing", "--preset", "tiny", "--out", str(run_dir)]
+    dist = run_dir / "dist_packing_M2_lookahead.csv"
+
+    def analyze(*argv):
+        main(["analyze", *argv] + base)
+        return _config_of(dist)
+
+    assert analyze("--max-iters", "3") != analyze("--max-iters", "4")
+    default = analyze("--max-iters", "6")
+    assert analyze("--max-iters", "6", "--policies", "random,lookahead") == default
+    other = tmp_path / "train.cfg"
+    other.write_text("epochs = 5\n")  # a key only train reads: neither read nor hashed
+    assert analyze("--max-iters", "6", "--config", str(other)) == default
+
+    oracle = oracle_path(run_dir, "packing", "tiny", "test")
+    main(["oracle"] + base)
+    implicit = json.loads(oracle.read_text())["config"]
+    main(["oracle", "--role", "test"] + base)
+    assert json.loads(oracle.read_text())["config"] == implicit
+
+
+def test_no_metadata_line_holds_a_seed(run_dir):
+    outputs = sorted(run_dir.glob("igc_*.csv")) + sorted(run_dir.glob("dist_*.csv"))
+    assert outputs
+    for path in outputs:
+        first = path.read_text().splitlines()[0]
+        assert first.startswith("# cutplane=") and "seed=" not in first, path
+
+
+def test_parse_roles_strips_and_checks_each_role():
+    assert parse_roles(" train, val") == ["train", "val"]
+    with pytest.raises(ValueError, match="bogus"):
+        parse_roles("train,bogus")
+    with pytest.raises(ValueError, match="--role"):
+        parse_roles("val,test", single=True)
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_eval_and_analyze_refuse_a_role_list(run_dir, command):
+    base = ["--family", "packing", "--preset", "tiny", "--out", str(run_dir)]
+    with pytest.raises(ValueError, match="--role"):
+        main([command, "--role", "val,test", "--max-iters", "3", "--policies", "random"] + base)
+
+
+def test_unknown_role_is_named(run_dir):
+    base = ["--family", "packing", "--preset", "tiny", "--out", str(run_dir)]
+    with pytest.raises(ValueError, match="bogus"):
+        main(["oracle", "--role", "test,bogus"] + base)
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_eval_and_analyze_strip_the_role(run_dir, command):
+    base = ["--family", "packing", "--preset", "tiny", "--out", str(run_dir)]
+    out = run_dir / ("igc_packing.csv" if command == "eval" else "dist_packing_M2_random.csv")
+    main([command, "--max-iters", "6", "--policies", "random"] + base)
+    default = _config_of(out)
+    main([command, "--role", " test", "--max-iters", "6", "--policies", " random"] + base)
+    assert "role=test" in out.read_text().splitlines()[0].split()
+    assert _config_of(out) == default

@@ -258,7 +258,14 @@ def test_rational_run_keeps_fractions_and_valid_cuts(family, policy, monkeypatch
     base = generate(InstanceSpec(family, "tiny", 1))
     box = integer_box(base)
     solve_simplex, generate_cutpool = engine.solve_simplex, engine.generate_cutpool
+    to_standard_form = engine.to_standard_form
     seen = {"solves": 0, "cuts": 0}
+    lp_of = {}  # id of each standard form the loop builds -> (that form, its LP)
+
+    def recording_form(lp):
+        sf = to_standard_form(lp)
+        lp_of[id(sf)] = (sf, lp)
+        return sf
 
     def checked_solve(sf, objective, mode):
         sol = solve_simplex(sf, objective, mode)
@@ -268,15 +275,16 @@ def test_rational_run_keeps_fractions_and_valid_cuts(family, policy, monkeypatch
         seen["solves"] += 1
         return sol
 
-    def checked_pool(sol, sf, lp, **kwargs):
-        pool = generate_cutpool(sol, sf, lp, **kwargs)
-        pts = enumerate_integer_points(lp, box)
+    def checked_pool(sol, sf, **kwargs):
+        pool = generate_cutpool(sol, sf, **kwargs)
+        pts = enumerate_integer_points(lp_of[id(sf)][1], box)
         x = sol.x.astype(float)
         for cut in pool:
             assert validate_cut(cut, x, pts)
         seen["cuts"] += len(pool)
         return pool
 
+    monkeypatch.setattr(engine, "to_standard_form", recording_form)
     monkeypatch.setattr(engine, "solve_simplex", checked_solve)
     monkeypatch.setattr(engine, "generate_cutpool", checked_pool)
     traj = run_policy(base, policy, RunConfig(max_iters=3, seed=1, arithmetic=RATIONAL))

@@ -46,7 +46,7 @@ def two_var_example():
 def pool_for(lp, mode="float"):
     sf = to_standard_form(lp)
     sol = solve_simplex(sf, lp.objective, mode)
-    return sol, sf, generate_cutpool(sol, sf, lp, id_counter=itertools.count(), born_iter=1)
+    return sol, sf, generate_cutpool(sol, sf, id_counter=itertools.count(), born_iter=1)
 
 
 def test_integral_optimum_yields_empty_pool():
@@ -178,14 +178,13 @@ def test_pool_size_bounded_by_tableau_rows():
 def one_row_pool(a, b, caplog):
     """Pool of a hand-built tableau: x basic at 2.5 with slack entry 0.5 in the
     row x*a + s = b, so the eliminated cut is (a/2) x <= (b-1)/2."""
-    lp = LinearProgram(objective=[-1.0], A=[[a]], b=[b], senses=[LE])
     sf = StandardForm(aug=np.array([[a, 1.0]]), rhs=np.array([b]), row_of_slack={1: 0},
                       num_vars=1)
     tab = SimplexTableau(basis=np.array([0]), matrix=np.array([[1.0, 0.5]]),
                          rhs=np.array([2.5]), reduced_costs=np.array([0.0, 1.0]))
     sol = LpSolution(OPTIMAL, x=np.array([2.5]), value=-2.5, tableau=tab)
     with caplog.at_level(logging.WARNING, logger="cutplane.gomory"):
-        pool = generate_cutpool(sol, sf, lp, id_counter=itertools.count(), born_iter=1)
+        pool = generate_cutpool(sol, sf, id_counter=itertools.count(), born_iter=1)
     return pool, [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
 
 

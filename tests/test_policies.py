@@ -37,7 +37,7 @@ def two_var_state():
     )
     sf = to_standard_form(lp)
     sol = solve_simplex(sf, lp.objective)
-    pool = generate_cutpool(sol, sf, lp, id_counter=itertools.count(), born_iter=1)
+    pool = generate_cutpool(sol, sf, id_counter=itertools.count(), born_iter=1)
     state = CutPlaneState(lp, [], pool, 1, np.asarray(sol.x, float), float(sol.value), (sf, sol))
     return lp, pool, state
 

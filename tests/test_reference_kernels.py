@@ -177,7 +177,7 @@ def test_kernels_match_loop_references(family, monkeypatch):
             assert tableau_bytes(sol) == tableau_bytes(ref_sol), (preset, seed, rec.k)
 
             start = min(rec.pool_ids, default=0)
-            pool = generate_cutpool(sol, sf, lp_k, id_counter=itertools.count(start),
+            pool = generate_cutpool(sol, sf, id_counter=itertools.count(start),
                                     born_iter=rec.k)
             ref = reference_cutpool(sol, sf, 1e-6, itertools.count(start), rec.k)
             assert [cut_bytes(c) for c in pool] == [cut_bytes(c) for c in ref], \

@@ -74,7 +74,7 @@ def test_pool_cut_rows_warm_equals_cold(preset, mode):
             sf = to_standard_form(lp_k)
             sol = solve_simplex(sf, lp_k.objective, mode)
             assert sol.status == OPTIMAL
-            pool = generate_cutpool(sol, sf, lp_k, born_iter=k)
+            pool = generate_cutpool(sol, sf, born_iter=k)
             if not pool.cuts:
                 break
             for cut in pool.cuts:
