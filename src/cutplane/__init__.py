@@ -4,7 +4,6 @@ cut-removal policies, and a learned cut scorer."""
 __version__ = "0.1.0"
 
 from .lp import (
-    EQ,
     FLOAT,
     GE,
     INFEASIBLE,

@@ -3,8 +3,9 @@
 For every tableau row whose basic value v_i is fractional we emit the rounding
 cut  (floor(L_i) - L_i) @ [x; s] <= floor(v_i) - v_i  and then substitute each
 slack s_j = rhs_j - row_j @ x of its source row, so the stored cut lives purely
-in the original variable space.  With integer constraint data and every row
-slacked, the eliminated cut has integer coefficients; we snap to those integers
+in the original variable space; row i of the LP owns slack column n + i.  With
+integer constraint data and every row slacked, which ``LinearProgram.validate``
+enforces, the eliminated cut has integer coefficients; we snap to those integers
 (and divide out a common factor) to keep later tableaus exact.  Cuts are *not*
 rescaled here: any non-integer scaling would make the slack of a stored cut
 non-integral at integer points and poison every later round of cuts.  Feature
@@ -146,15 +147,12 @@ def generate_cutpool(
     G = np.floor(Lr) - Lr
     alpha = G[:, :n].copy()
     beta = np.floor(v[rows]) - v[rows]
-    if sf.row_of_slack:
-        slack_cols = sorted(sf.row_of_slack)
-        src_rows = [sf.row_of_slack[j] for j in slack_cols]
-        A_src, b_src = sf.aug[src_rows, :n], sf.rhs[src_rows]
-        if tab.exact:
-            A_src, b_src = to_fractions(A_src), to_fractions(b_src)
-        R = G[:, slack_cols]
-        alpha -= R @ A_src
-        beta -= R @ b_src
+    A_src, b_src = sf.aug[:, :n], sf.rhs
+    if tab.exact:
+        A_src, b_src = to_fractions(A_src), to_fractions(b_src)
+    R = G[:, n:]
+    alpha -= R @ A_src
+    beta -= R @ b_src
     if tab.exact:
         alpha, beta = alpha.astype(float), beta.astype(float)
     else:  # float noise; an exact coefficient is never noise

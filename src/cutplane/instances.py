@@ -4,10 +4,11 @@ All families emit integer coefficient data, bounded feasible regions, and a
 minimization objective (maximization families are negated).  Constraint rows
 are inequalities only: balance equations in production planning are emitted as
 <=/>= pairs so that every row carries a slack, which keeps eliminated Gomory
-cuts integral round after round.  Each generator's docstring states its
-coefficient ranges and ``PRESETS`` its sizes: presets `train` and `large`
-match the benchmark dimensions, `small` is the desk-scale preset, and `tiny`
-stays under 10 variables so exhaustive integer enumeration remains cheap.
+cuts integral round after round; ``LinearProgram.validate`` enforces the rule,
+and ``load_instance`` validates each LP it loads.  Each generator's docstring
+states its coefficient ranges and ``PRESETS`` its sizes: presets `train` and
+`large` match the benchmark dimensions, `small` is the desk-scale preset, and
+`tiny` stays under 10 variables so exhaustive integer enumeration stays cheap.
 """
 
 from __future__ import annotations
@@ -105,14 +106,7 @@ def gen_bin_packing(n_vars: int, n_rows: int, seed: int) -> LinearProgram:
     """Packing with binary upper bounds x_j <= 1 and resource capacities tight
     enough to bind (b_i ~ U{n..2n}; the packing range 9n..10n never binds once
     x <= 1)."""
-    rng = np.random.default_rng(seed)
-    A = rng.integers(0, 6, size=(n_rows, n_vars)).astype(float)
-    for j in range(n_vars):
-        if not A[:, j].any():
-            A[int(rng.integers(n_rows)), j] = float(rng.integers(1, 6))
-    b = rng.integers(n_vars, 2 * n_vars + 1, size=n_rows).astype(float)
-    c = rng.integers(1, 11, size=n_vars).astype(float)
-    return LinearProgram(objective=-c, A=A, b=b, senses=[LE] * n_rows).with_rows(
+    return gen_packing(n_vars, n_rows, seed, b_lo=n_vars, b_hi=2 * n_vars).with_rows(
         np.eye(n_vars), np.ones(n_vars))
 
 
@@ -297,6 +291,7 @@ def load_instance(path) -> tuple[LinearProgram, dict]:
             senses=[r["sense"] for r in rows],
             name=doc["instance_id"],
         )
+        lp.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed instance file {path}: {exc}") from exc
     return lp, doc

@@ -12,6 +12,10 @@ are fixed, not settings.  Exact mode checks the arithmetic of the float path,
 since both run the same pivot rules.  The independent checks of the algorithm
 itself, brute-force vertex enumeration and HiGHS, live in the tests.
 
+Every row is ``<=`` or ``>=`` (:meth:`LinearProgram.validate` refuses any other
+sense), so row i owns slack column ``num_vars + i`` of its standard form; Gomory
+cuts come out integral only when every row has one.
+
 Most LPs the package solves are an LP it has just solved plus a few ``<=``
 rows ``alpha @ x <= beta``: a pool cut for look-ahead scoring, a bound row
 for a branch-and-bound child.  :meth:`LinearProgram.with_rows` is the one
@@ -36,8 +40,8 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-# Row senses.
-LE, GE, EQ = "<=", ">=", "="
+# Row senses.  There is no equality sense: every row owns a slack.
+LE, GE = "<=", ">="
 
 # Solve statuses.
 OPTIMAL = "optimal"
@@ -112,9 +116,10 @@ class LinearProgram:
             raise ValueError("objective has non-finite entries")
         if self.num_rows and not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
             raise ValueError("constraint data has non-finite entries")
-        bad = set(self.senses) - {LE, GE, EQ}
+        bad = set(self.senses) - {LE, GE}
         if bad:
-            raise ValueError(f"unknown senses: {bad}")
+            raise ValueError(f"senses {sorted(bad)} refused: every row must be "
+                             f"'{LE}' or '{GE}' and own a slack")
 
     def with_rows(self, alpha, beta) -> "LinearProgram":
         """This LP plus the rows ``alpha @ x <= beta`` (one row: 1-D ``alpha``)."""
@@ -128,15 +133,13 @@ class LinearProgram:
 class StandardForm:
     """Equality system ``aug @ [x; s] = rhs`` with x, s >= 0.
 
-    Every inequality row owns one +1 slack column (GE rows are negated first so
-    the slack block is an identity at construction); EQ rows own none.
-    ``row_of_slack`` maps a slack column index back to its source row, which is
-    exactly what slack elimination of Gomory cuts needs.
+    Row i owns the +1 slack column ``num_vars + i``: GE rows are negated
+    first, so ``aug`` is ``[±A | I]`` and ``rhs`` is ``±b``.  Slack
+    elimination of Gomory cuts reads each slack's source row off this layout.
     """
 
     aug: np.ndarray
     rhs: np.ndarray
-    row_of_slack: dict[int, int]
     num_vars: int
 
     @property
@@ -177,18 +180,11 @@ class LpSolution:
 
 
 def to_standard_form(lp: LinearProgram) -> StandardForm:
-    """Append one +1 slack per inequality row; negate GE rows first."""
+    """``[±A | I] @ [x; s] = ±b``: GE rows negated, row i's slack in column n + i."""
     lp.validate()
-    n, m = lp.num_vars, lp.num_rows
     ge = np.array([s == GE for s in lp.senses], dtype=bool)
-    ineq_rows = np.flatnonzero(np.array([s != EQ for s in lp.senses], dtype=bool))
-    slack_cols = n + np.arange(ineq_rows.size)
-    aug = np.zeros((m, n + ineq_rows.size))
-    aug[:, :n] = np.where(ge[:, None], -lp.A, lp.A)
-    aug[ineq_rows, slack_cols] = 1.0
-    rhs = np.where(ge, -lp.b, lp.b)
-    row_of_slack = dict(zip(slack_cols.tolist(), ineq_rows.tolist()))
-    return StandardForm(aug=aug, rhs=rhs, row_of_slack=row_of_slack, num_vars=n)
+    aug = np.hstack([np.where(ge[:, None], -lp.A, lp.A), np.eye(lp.num_rows)])
+    return StandardForm(aug=aug, rhs=np.where(ge, -lp.b, lp.b), num_vars=lp.num_vars)
 
 
 def is_integral(x) -> bool:
@@ -330,12 +326,8 @@ def _two_phase(sf: StandardForm, c: np.ndarray) -> LpSolution:
     work[flip] *= -1
     rhs[flip] *= -1
 
-    slack_of_row = {r: j for j, r in sf.row_of_slack.items()}
-    basis = np.full(m, -1, dtype=int)
-    for i in range(m):
-        j = slack_of_row.get(i)
-        if j is not None and not flip[i]:
-            basis[i] = j
+    # A row keeps its slack basic unless flipping its sign made the slack -1.
+    basis = np.where(flip, -1, n + np.arange(m))
     art_rows = np.nonzero(basis < 0)[0]
     n_art = art_rows.size
     bland_after = 5 * (m + width + n_art)
@@ -353,28 +345,17 @@ def _two_phase(sf: StandardForm, c: np.ndarray) -> LpSolution:
         status = _run_pivots(T, basis, m, bland_after, cycle_cap)
         if status != OPTIMAL:
             raise CycleLimitExceeded("phase 1 became unbounded; numerical breakdown")
-        ptol, feasibility, _, _ = _margins(T)
+        _, feasibility, _, _ = _margins(T)
         if -T[m, -1] > feasibility:
             return LpSolution(INFEASIBLE)
         # Drive each artificial still basic (at zero level) out on the largest
-        # |entry| of its row; a row with no nonzero entry is redundant.
-        drop = []
+        # |entry| of its row.  No row is redundant: the slack columns of each
+        # row of T[:m, :width] hold ± a row of B⁻¹, so no row is zero.
         buf = np.empty_like(T)
-        for i in range(m):
-            if basis[i] >= width:
-                row = T[i, :width]
-                cand = np.nonzero(np.abs(row) > ptol)[0]
-                if cand.size == 0:
-                    drop.append(i)
-                else:
-                    j = int(cand[np.argmax(np.abs(row[cand]))])
-                    _pivot(T, i, j, buf)
-                    basis[i] = j
-        if drop:
-            keep = [i for i in range(m) if i not in drop]
-            T = T[keep + [m]]
-            basis = basis[keep]
-            m = len(keep)
+        for i in np.nonzero(basis >= width)[0]:
+            j = int(np.argmax(np.abs(T[i, :width])))
+            _pivot(T, i, j, buf)
+            basis[i] = j
         T = np.hstack([T[:, :width], T[:, -1:]])
     else:
         T = _zeros((m + 1, width + 1), dtype)

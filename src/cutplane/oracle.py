@@ -32,7 +32,6 @@ import numpy as np
 from .gomory import ceil_snap
 from .lp import (
     LE,
-    GE,
     OPTIMAL,
     UNBOUNDED,
     BasisError,
@@ -81,9 +80,8 @@ def _check_integer_feasible(lp: LinearProgram, x: np.ndarray) -> bool:
         # generate_cutpool kept unsnapped (logged as a WARNING) has non-integer
         # coefficients.  Check with a float margin instead.
         d, margin = lp.A @ x - lp.b, 1e-7
-    senses = np.array(lp.senses, dtype=str)
-    return not np.any(np.where(senses == LE, d > margin,
-                               np.where(senses == GE, d < -margin, np.abs(d) > margin)))
+    le = np.array(lp.senses, dtype=str) == LE
+    return not np.any(np.where(le, d > margin, d < -margin))
 
 
 def _bound_rows(n: int, bounds) -> tuple[np.ndarray, np.ndarray]:

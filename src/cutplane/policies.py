@@ -104,10 +104,7 @@ def _basic_slack_mask(candidates: Sequence[Cut], state: CutPlaneState) -> np.nda
     if sf.num_rows != first + len(candidates):
         raise ValueError(f"solved LP has {sf.num_rows} rows, expected "
                          f"{first} base rows plus {len(candidates)} candidates")
-    slack_of_row = {r: j for j, r in sf.row_of_slack.items()}
-    basic = set(sol.tableau.basis.tolist())
-    return np.array([slack_of_row.get(first + i) in basic for i in range(len(candidates))],
-                    dtype=bool)
+    return np.isin(sf.num_vars + first + np.arange(len(candidates)), sol.tableau.basis)
 
 
 def lookahead_remove_scores(candidates: Sequence[Cut], state: CutPlaneState) -> np.ndarray:

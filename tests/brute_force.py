@@ -70,8 +70,8 @@ def enumerate_integer_points(
         suffix_min[:, d] = suffix_min[:, d + 1] + contrib_min[:, d]
         suffix_max[:, d] = suffix_max[:, d + 1] + contrib_max[:, d]
 
-    le_rows = np.array([i for i, s in enumerate(senses) if s in (LE, "=")], dtype=np.int64)
-    ge_rows = np.array([i for i, s in enumerate(senses) if s in (GE, "=")], dtype=np.int64)
+    le_rows = np.array([i for i, s in enumerate(senses) if s == LE], dtype=np.int64)
+    ge_rows = np.array([i for i, s in enumerate(senses) if s == GE], dtype=np.int64)
 
     out = []
     point = np.zeros(n, dtype=np.int64)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,13 @@ def run_dir(tmp_path_factory):
           "random,mv,lookahead,remove-lookahead,remove-random"] + base)
     main(["analyze", "--max-iters", "6"] + base)
     return out
+
+
+@pytest.fixture
+def run_copy(run_dir, tmp_path):
+    """A copy of ``run_dir`` for a test that rewrites its outputs, so that the
+    tests reading those outputs pass in any order."""
+    return shutil.copytree(run_dir, tmp_path / "run")
 
 
 def test_gen_layout_and_roles(run_dir):
@@ -131,11 +139,11 @@ def test_eval_missing_model_errors(run_dir):
               "--max-iters", "3", "--policies", "remove-neural"])
 
 
-def test_neural_policies_run_with_model(run_dir):
-    model = str(run_dir / "models" / "packing-tiny.json")
-    main(["eval", "--family", "packing", "--preset", "tiny", "--out", str(run_dir),
+def test_neural_policies_run_with_model(run_copy):
+    model = str(run_copy / "models" / "packing-tiny.json")
+    main(["eval", "--family", "packing", "--preset", "tiny", "--out", str(run_copy),
           "--max-iters", "3", "--policies", "neural,remove-neural", "--model", model])
-    text = (run_dir / "igc_packing.csv").read_text()
+    text = (run_copy / "igc_packing.csv").read_text()
     assert "remove-neural" in text
 
 
@@ -226,9 +234,9 @@ def test_each_command_has_only_its_own_flags():
     assert sum(map(len, slots.values())) == 48
 
 
-def test_config_hash_names_the_settings_the_command_reads(run_dir, tmp_path):
-    base = ["--family", "packing", "--preset", "tiny", "--out", str(run_dir)]
-    dist = run_dir / "dist_packing_M2_lookahead.csv"
+def test_config_hash_names_the_settings_the_command_reads(run_copy, tmp_path):
+    base = ["--family", "packing", "--preset", "tiny", "--out", str(run_copy)]
+    dist = run_copy / "dist_packing_M2_lookahead.csv"
 
     def analyze(*argv):
         main(["analyze", *argv] + base)
@@ -241,7 +249,7 @@ def test_config_hash_names_the_settings_the_command_reads(run_dir, tmp_path):
     other.write_text("epochs = 5\n")  # a key only train reads: neither read nor hashed
     assert analyze("--max-iters", "6", "--config", str(other)) == default
 
-    oracle = oracle_path(run_dir, "packing", "tiny", "test")
+    oracle = oracle_path(run_copy, "packing", "tiny", "test")
     main(["oracle"] + base)
     implicit = json.loads(oracle.read_text())["config"]
     main(["oracle", "--role", "test"] + base)
@@ -278,9 +286,9 @@ def test_unknown_role_is_named(run_dir):
 
 
 @pytest.mark.parametrize("command", ["eval", "analyze"])
-def test_eval_and_analyze_strip_the_role(run_dir, command):
-    base = ["--family", "packing", "--preset", "tiny", "--out", str(run_dir)]
-    out = run_dir / ("igc_packing.csv" if command == "eval" else "dist_packing_M2_random.csv")
+def test_eval_and_analyze_strip_the_role(run_copy, command):
+    base = ["--family", "packing", "--preset", "tiny", "--out", str(run_copy)]
+    out = run_copy / ("igc_packing.csv" if command == "eval" else "dist_packing_M2_random.csv")
     main([command, "--max-iters", "6", "--policies", "random"] + base)
     default = _config_of(out)
     main([command, "--role", " test", "--max-iters", "6", "--policies", " random"] + base)

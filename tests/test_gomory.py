@@ -97,7 +97,8 @@ def _fraction_cut(tab, sf, i):
     g = [math.floor(e) - e for e in tab.matrix[i]]
     alpha = g[: sf.num_vars]
     beta = math.floor(tab.rhs[i]) - tab.rhs[i]
-    for j, r in sf.row_of_slack.items():
+    for r in range(sf.num_rows):  # row r's slack is column num_vars + r
+        j = sf.num_vars + r
         alpha = [a - g[j] * Fraction(float(sf.aug[r, col])) for col, a in enumerate(alpha)]
         beta -= g[j] * Fraction(float(sf.rhs[r]))
     return [float(a) for a in alpha], float(beta)
@@ -178,8 +179,7 @@ def test_pool_size_bounded_by_tableau_rows():
 def one_row_pool(a, b, caplog):
     """Pool of a hand-built tableau: x basic at 2.5 with slack entry 0.5 in the
     row x*a + s = b, so the eliminated cut is (a/2) x <= (b-1)/2."""
-    sf = StandardForm(aug=np.array([[a, 1.0]]), rhs=np.array([b]), row_of_slack={1: 0},
-                      num_vars=1)
+    sf = StandardForm(aug=np.array([[a, 1.0]]), rhs=np.array([b]), num_vars=1)
     tab = SimplexTableau(basis=np.array([0]), matrix=np.array([[1.0, 0.5]]),
                          rhs=np.array([2.5]), reduced_costs=np.array([0.0, 1.0]))
     sol = LpSolution(OPTIMAL, x=np.array([2.5]), value=-2.5, tableau=tab)

@@ -1,5 +1,6 @@
-"""The package's modules import one way: no import inside a function, and the
-imports outside ``if TYPE_CHECKING:`` blocks form an acyclic graph."""
+"""The package's modules import one way: no import inside a function, no name
+imported and never used, and the imports outside ``if TYPE_CHECKING:`` blocks
+form an acyclic graph."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -43,3 +44,38 @@ def test_module_imports_are_acyclic():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         raise AssertionError(f"import cycle: {exc.args[1]}") from None
+
+
+def _imported_names(tree) -> dict[str, int]:
+    """Each name a module's imports bind, with the line that binds it."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update({(a.asname or a.name.split(".")[0]): node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out.update({(a.asname or a.name): node.lineno for a in node.names})
+    return out
+
+
+def _used_names(tree) -> set[str]:
+    """Names a module reads, those inside string annotations included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for sub in ast.walk(ann) if ann is not None else ():
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    used |= _used_names(ast.parse(sub.value, mode="eval"))
+    return used
+
+
+def test_no_unused_import():
+    found = []
+    for name, tree in MODULES.items():
+        if name == "__init__":  # its imports are the package's exports
+            continue
+        used = _used_names(tree)
+        found += [f"{name}:{line} {imported}" for imported, line in _imported_names(tree).items()
+                  if imported not in used]
+    assert not found

@@ -1,5 +1,6 @@
 """Family generators: dimensions, determinism, feasibility, boundedness."""
 
+import json
 import re
 
 import numpy as np
@@ -41,8 +42,17 @@ def test_round_trip(tmp_path):
     assert info["family"] == "max_cut"
 
 
-@pytest.mark.parametrize("text", ["[]", '{"format_version": 1, "fam', '{"format_version": 1}'],
-                         ids=["list", "truncated", "no-rows"])
+def _one_row_file(sense="<=", objective=(1,)):
+    return json.dumps({"format_version": 1, "instance_id": "x", "num_vars": 1,
+                       "objective": list(objective),
+                       "rows": [{"coeffs": [1], "rhs": 1, "sense": sense}]})
+
+
+@pytest.mark.parametrize("text", ["[]", '{"format_version": 1, "fam', '{"format_version": 1}',
+                                  _one_row_file(sense="<"), _one_row_file(objective=(1, 2)),
+                                  _one_row_file(sense="=")],
+                         ids=["list", "truncated", "no-rows", "bad-sense", "long-objective",
+                              "equality-row"])
 def test_malformed_instance_file_raises_value_error_naming_path(tmp_path, text):
     path = tmp_path / "inst.json"
     path.write_text(text)

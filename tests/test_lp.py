@@ -8,7 +8,6 @@ import pytest
 
 from cutplane import lp as lp_mod
 from cutplane.lp import (
-    EQ,
     FLOAT,
     GE,
     INFEASIBLE,
@@ -75,7 +74,6 @@ def test_standard_form_single_le_row():
     assert sf.num_vars == 1
     assert sf.aug.tolist() == [[1.0, 1.0]]
     assert sf.rhs.tolist() == [4.0]
-    assert sf.row_of_slack == {1: 0}
 
 
 def test_standard_form_empty():
@@ -96,7 +94,6 @@ def test_standard_form_identity_block():
     sf = to_standard_form(lp)
     assert sf.aug.shape == (2, 4)
     np.testing.assert_allclose(sf.aug[:, 2:], np.eye(2))
-    assert sf.row_of_slack == {2: 0, 3: 1}
 
 
 def test_standard_form_ge_row_negated():
@@ -127,16 +124,13 @@ def test_ge_row_needs_phase1():
     assert sol.value == pytest.approx(1.0, abs=1e-9)
 
 
-def test_eq_row():
-    lp = LinearProgram(
-        objective=[1.0, 2.0],
-        A=[[1.0, 1.0]],
-        b=[3.0],
-        senses=[EQ],
-    )
-    sol = solve_lp(lp)
-    assert sol.status == OPTIMAL
-    assert sol.value == pytest.approx(3.0, abs=1e-9)
+@pytest.mark.parametrize("sense", ["=", "==", "<"])
+def test_validate_refuses_rows_without_a_slack(sense):
+    lp = LinearProgram(objective=[1.0, 2.0], A=[[1.0, 1.0]], b=[3.0], senses=[sense])
+    with pytest.raises(ValueError, match="every row must be '<=' or '>=' and own a slack"):
+        lp.validate()
+    with pytest.raises(ValueError, match="own a slack"):
+        solve_lp(lp)
 
 
 def test_infeasible():
@@ -200,12 +194,10 @@ def test_rational_agrees_with_float():
 
 
 def phase1_artificials(lp):
-    """Rational solve of ``lp``, and which artificials phase 1 left basic.
+    """Rational solve of ``lp``, and the rows on which phase 1 left an artificial basic.
 
-    The second value lists, per row whose basic variable is still artificial
-    when phase 1 ends, whether that row has a nonzero entry in a structural
-    or slack column (so the artificial can be pivoted out) or none (the row is
-    redundant and dropped).
+    The second value lists, in row order, the structural and slack entries of
+    each row whose basic variable is still artificial when phase 1 ends.
     """
     sf = to_standard_form(lp)
     width = sf.aug.shape[1]
@@ -215,7 +207,7 @@ def phase1_artificials(lp):
     def spy(T, basis, m, *args):
         status = run_pivots(T, basis, m, *args)
         if not left:  # the first call is phase 1
-            left.append([bool(np.any(T[i, :width] != 0)) for i in range(m) if basis[i] >= width])
+            left.append([T[i, :width].tolist() for i in range(m) if basis[i] >= width])
         return status
 
     with pytest.MonkeyPatch.context() as mp:
@@ -235,34 +227,22 @@ def assert_exact_optimum(sol, lp):
     assert all(v == 0 for v in tab.reduced_costs[tab.basis])
     lhs = lp.A.astype(int) @ sol.x
     for i, s in enumerate(lp.senses):
-        assert {LE: lhs[i] <= lp.b[i], GE: lhs[i] >= lp.b[i], EQ: lhs[i] == lp.b[i]}[s]
-
-
-def test_rational_phase1_drops_redundant_eq_row():
-    """x1 + x2 = 2 twice over: the second row's artificial stays basic on an
-    all-zero row, and the row is dropped."""
-    lp = LinearProgram(objective=[1.0, 2.0], A=[[1.0, 1.0], [2.0, 2.0]], b=[2.0, 4.0],
-                       senses=[EQ, EQ])
-    sol, left = phase1_artificials(lp)
-    assert left == [False]
-    assert sol.status == OPTIMAL
-    assert len(sol.tableau.basis) == 1
-    assert sol.value == 2 and list(sol.x) == [2, 0]
-    assert_exact_optimum(sol, lp)
+        assert {LE: lhs[i] <= lp.b[i], GE: lhs[i] >= lp.b[i]}[s]
 
 
 def test_rational_phase1_pivots_artificial_out():
-    """An artificial basic at zero level on a row with nonzero entries is
-    pivoted out, and every row stays.  Both EQ rows keep their artificial;
-    the first row is (-1, 3, 2, 0), where the largest |entry| picks x2 and
-    the first nonzero would pick x1.  Exact mode ends on the float basis."""
-    lp = LinearProgram(objective=[0.0, 3.0, 0.0],
-                       A=[[-1.0, 3.0, 2.0], [-1.0, -3.0, -3.0], [1.0, 1.0, 1.0]],
-                       b=[0.0, 0.0, 4.0], senses=[EQ, EQ, LE])
+    """An artificial basic at zero level is pivoted out on the largest |entry|
+    of its row, and every row stays.  Both GE rows keep their artificial; the
+    first row is (0, -1, -3, -1, 0, -1, 0), where the largest |entry| picks x2
+    (basis [2, 4, 0, 6]) and the first nonzero would pick x1 (basis
+    [1, 2, 0, 6]).  Exact mode ends on the float basis."""
+    lp = LinearProgram(objective=[0.0, -1.0, -3.0],
+                       A=[[1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [1.0, 2.0, 2.0], [1.0, 1.0, 1.0]],
+                       b=[1.0, 1.0, 1.0, 4.0], senses=[GE, GE, LE, LE])
     sol, left = phase1_artificials(lp)
-    assert left == [True, True]
+    assert len(left) == 2 and left[0] == [0, -1, -3, -1, 0, -1, 0]
     assert sol.status == OPTIMAL
-    assert sol.tableau.basis.tolist() == solve_lp(lp).tableau.basis.tolist() == [1, 2, 3]
+    assert sol.tableau.basis.tolist() == solve_lp(lp).tableau.basis.tolist() == [2, 4, 0, 6]
     status, ref = vertex_enumeration_value(lp)
     assert status == OPTIMAL and sol.value == ref == solve_lp(lp).value
     assert_exact_optimum(sol, lp)

@@ -17,7 +17,6 @@ from cutplane.engine import RunConfig, run_policy
 from cutplane.gomory import GOMORY, Cut, CutPool, apply_cuts, generate_cutpool
 from cutplane.instances import FAMILIES, InstanceSpec, generate
 from cutplane.lp import (
-    EQ,
     FEASIBILITY_TOL,
     GE,
     PIVOT_TOL,
@@ -36,22 +35,16 @@ ITERS = 5
 
 def reference_standard_form(lp):
     n, m = lp.num_vars, lp.num_rows
-    n_slacks = sum(s != EQ for s in lp.senses)
-    aug = np.zeros((m, n + n_slacks))
+    aug = np.zeros((m, n + m))
     rhs = np.zeros(m)
-    row_of_slack = {}
-    next_slack = n
     for i in range(m):
         row, r, sense = lp.A[i], lp.b[i], lp.senses[i]
         if sense == GE:
             row, r = -row, -r
         aug[i, :n] = row
         rhs[i] = r
-        if sense != EQ:
-            aug[i, next_slack] = 1.0
-            row_of_slack[next_slack] = i
-            next_slack += 1
-    return StandardForm(aug=aug, rhs=rhs, row_of_slack=row_of_slack, num_vars=n)
+        aug[i, n + i] = 1.0  # row i's slack
+    return StandardForm(aug=aug, rhs=rhs, num_vars=n)
 
 
 def reference_pivot(T, row, col, buf=None):  # buf: the solver passes one; unused here
@@ -110,20 +103,16 @@ def reference_cutpool(sol, sf, tol, ids, born_iter):
     frac_dist = np.abs(v - np.round(v))
     rows = np.nonzero(frac_dist > tol)[0]
     cuts = []
-    slack_cols = sorted(sf.row_of_slack)
-    src_rows = np.array([sf.row_of_slack[j] for j in slack_cols], dtype=int)
-    A_src = sf.aug[src_rows][:, :n] if slack_cols else np.zeros((0, n))
-    b_src = sf.rhs[src_rows] if slack_cols else np.zeros(0)
+    A_src, b_src = sf.aug[:, :n], sf.rhs  # row i's slack is column n + i
     x = np.asarray(sol.x, dtype=float)
     for i in rows:
         g = np.floor(L[i]) - L[i]
         g0 = math.floor(v[i]) - v[i]
         alpha = g[:n].copy()
         beta = g0
-        if slack_cols:
-            r = g[slack_cols]
-            alpha -= r @ A_src
-            beta -= float(r @ b_src)
+        r = g[n:]
+        alpha -= r @ A_src
+        beta -= float(r @ b_src)
         alpha[np.abs(alpha) < PIVOT_TOL] = 0.0
         rounded = np.round(alpha)
         beta_r = round(beta)
@@ -167,7 +156,6 @@ def test_kernels_match_loop_references(family, monkeypatch):
             ref_sf = reference_standard_form(lp_k)
             assert sf.aug.tobytes() == ref_sf.aug.tobytes()
             assert sf.rhs.tobytes() == ref_sf.rhs.tobytes()
-            assert list(sf.row_of_slack.items()) == list(ref_sf.row_of_slack.items())
 
             sol = solve_simplex(sf, lp_k.objective)
             with monkeypatch.context() as mp:
