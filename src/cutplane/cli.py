@@ -19,7 +19,8 @@ The ``config=`` provenance hash digests the content settings the command
 reads, at their effective values.  A default the library also has is read
 from it (RunConfig, Hyperparams, model.LAYER_DIMS, oracle.NODE_LIMIT).
 ``train`` replays each trajectory in its own arithmetic; ``collect`` and
-``eval`` run each instance with the seed its instance file records.
+``eval`` run each instance with the seed its instance file records, load the
+model once, and fail before any run when a neural policy has no --model.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ from .model import (
     save_model,
     train_sgd,
 )
-from .oracle import NODE_LIMIT, solve_ilp
-from .policies import ADDITION_KINDS, LOOKAHEAD, NEURAL, REMOVAL_KINDS, REMOVE_NEURAL
+from .oracle import ILP_OPTIMAL, NODE_LIMIT, solve_ilp
+from .policies import ADDITION_KINDS, LOOKAHEAD, MODEL_KINDS, REMOVAL_KINDS
 
 logger = logging.getLogger("cutplane.cli")
 
@@ -125,14 +126,16 @@ class Settings:
         self._defaults, self._flags, self._file = SETTINGS[command], flags, file_cfg
 
     def get(self, key):
-        default = self._defaults[key]
-        flag = self._flags.get(key)
+        default, flag = self._defaults[key], self._flags.get(key)
         if flag is not None:
             return flag
-        if key in self._file:
-            raw = self._file[key]
-            return raw if default is None else type(default)(raw)
-        return default
+        if key not in self._file or default is None:
+            return self._file.get(key, default)
+        try:
+            return type(default)(self._file[key])
+        except ValueError:
+            raise ValueError(f"config key {key!r}: {self._file[key]!r} does not parse as "
+                             f"{type(default).__name__}") from None
 
     # Settings that change where work happens or how fast, never what comes out.
     _NON_CONTENT = ("out", "workers", "model")
@@ -344,26 +347,25 @@ def _run_kwargs(cfg: Settings, **extra) -> dict:
     return dict(max_iters=int(cfg.get("max_iters")), arithmetic=cfg.get("arith"), **extra)
 
 
-def _model_for(policy: str, model_file):
-    """The model file a policy runs with: None unless it is neural, which needs one."""
-    if policy not in (NEURAL, REMOVE_NEURAL):
-        return None
-    if not model_file:
-        raise MissingModel(f"policy {policy} needs --model")
-    return model_file
+def _model_for(policies: list[str], model_file):
+    """The model the neural ones among ``policies`` run with, loaded once; None
+    when none is neural.  A neural policy without a model file raises MissingModel."""
+    neural = [p for p in policies if p in MODEL_KINDS]
+    if neural and not model_file:
+        raise MissingModel(f"policy {neural[0]} needs --model")
+    return load_model(model_file) if neural else None
 
 
-def _run_one(path, policy, run_kwargs, model_file):
-    """Load one instance (and the model, if any) and run one policy on it."""
+def _run_one(path, policy, run_kwargs, model):
+    """Load one instance and run one policy on it with ``model`` (None unless neural)."""
     lp, doc = load_instance(path)
-    model = load_model(model_file) if model_file else None
     iid = doc["instance_id"]
     return iid, run_policy(lp, policy, RunConfig(seed=doc["seed"], **run_kwargs), iid, model)
 
 
 def _collect_one(item):
-    path, policy, run_kwargs, dest, model_file = item
-    iid, traj = _run_one(path, policy, run_kwargs, model_file)
+    path, policy, run_kwargs, dest, model = item
+    iid, traj = _run_one(path, policy, run_kwargs, model)
     save_trajectory(traj, Path(dest) / f"{iid}.json")
     return iid, traj.status
 
@@ -374,14 +376,15 @@ def cmd_collect(cfg: Settings) -> None:
     policies = parse_policies(cfg.get("policies"))
     workers = int(cfg.get("workers"))
     run_kwargs = _run_kwargs(cfg, record_scores=True)
+    model = _model_for(policies, cfg.get("model"))
     for role in parse_roles(cfg.get("role")):
         paths = list_instances(instances_dir(out, family, preset, role))
         for policy in policies:
-            model_file = _model_for(policy, cfg.get("model"))
             dest = trajectories_dir(out, family, preset, role, policy)
             dest.mkdir(parents=True, exist_ok=True)
             t0 = time.time()
-            items = [(p, policy, run_kwargs, str(dest), model_file) for p in paths]
+            own = model if policy in MODEL_KINDS else None
+            items = [(p, policy, run_kwargs, str(dest), own) for p in paths]
             results = _pool_map(workers, _collect_one, items)
             statuses = [s for _, s in results]
             logger.info(
@@ -459,8 +462,8 @@ def cmd_train(cfg: Settings) -> None:
 
 
 def _eval_one(item):
-    path, policy, run_kwargs, model_file, z_int, max_iters = item
-    iid, traj = _run_one(path, policy, run_kwargs, model_file)
+    path, policy, run_kwargs, model, z_int, max_iters = item
+    iid, traj = _run_one(path, policy, run_kwargs, model)
     return iid, extend_curve(compute_igc(traj, z_int), max_iters)
 
 
@@ -474,16 +477,20 @@ def cmd_eval(cfg: Settings) -> None:
     oracle = load_oracle(out, family, preset, role)
     paths = list_instances(instances_dir(out, family, preset, role))
     run_kwargs = _run_kwargs(cfg)
+    model = _model_for(policies, cfg.get("model"))
+    unproven = []
+    for iid in (p.stem for p in paths):
+        entry = oracle.get(iid, {})
+        if entry.get("value") is None:
+            raise KeyError(f"oracle cache has no value for {iid}")
+        if not (entry.get("status") == ILP_OPTIMAL and entry.get("proven")):
+            unproven.append(iid)
+    if unproven:
+        logger.warning("IGC scored against values that are not proven optima: %s", ", ".join(unproven))
     rows = []
     for policy in policies:
-        model_file = _model_for(policy, cfg.get("model"))
-        items = []
-        for p in paths:
-            iid = p.stem
-            entry = oracle.get(iid)
-            if entry is None or entry["value"] is None:
-                raise KeyError(f"oracle cache has no value for {iid}")
-            items.append((p, policy, run_kwargs, model_file, entry["value"], max_iters))
+        own = model if policy in MODEL_KINDS else None
+        items = [(p, policy, run_kwargs, own, oracle[p.stem]["value"], max_iters) for p in paths]
         t0 = time.time()
         results = _pool_map(workers, _eval_one, items)
         curves = np.stack([igc for _, igc in sorted(results)])

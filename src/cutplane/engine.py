@@ -51,7 +51,7 @@ class RunConfig:
     max_iters: int = 30
     arithmetic: str = FLOAT
     seed: int = 0  # seeds the random policies' draws; recorded in the trajectory
-    record_scores: bool = False  # record one-cut-added LP values for every pool cut
+    record_scores: bool = False  # alone decides if add-only records pool_scores
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -151,8 +151,8 @@ def _run(lp: LinearProgram, policy: "_policies.Policy", cfg: RunConfig,
             if cfg.record_scores or policy.kind == _policies.LOOKAHEAD:
                 raw = _policies.lookahead_add_scores(pool, state)
             chosen = _policies.select_addition(pool, state, policy, rng, precomputed_scores=raw)
-            records.append(_record(k, vk, pool, P, [chosen], [], xk,
-                                   raw.tolist() if raw is not None else None))
+            recorded = raw.tolist() if cfg.record_scores else None
+            records.append(_record(k, vk, pool, P, [chosen], [], xk, recorded))
             P = P + [registry[chosen]]
         else:
             cands = state.candidates()

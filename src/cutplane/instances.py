@@ -6,9 +6,10 @@ are inequalities only: balance equations in production planning are emitted as
 <=/>= pairs so that every row carries a slack, which keeps eliminated Gomory
 cuts integral round after round; ``LinearProgram.validate`` enforces the rule,
 and ``load_instance`` validates each LP it loads.  Each generator's docstring
-states its coefficient ranges and ``PRESETS`` its sizes: presets `train` and
-`large` match the benchmark dimensions, `small` is the desk-scale preset, and
-`tiny` stays under 10 variables so exhaustive integer enumeration stays cheap.
+states its coefficient ranges and ``PRESETS`` its sizes, keyed by its keyword
+arguments: presets `train` and `large` match the benchmark dimensions, `small`
+is the desk-scale preset, and `tiny` stays under 10 variables so exhaustive
+integer enumeration stays cheap.
 """
 
 from __future__ import annotations
@@ -135,14 +136,9 @@ def gen_max_cut(n_nodes: int, n_edges: int, seed: int) -> LinearProgram:
         r2[v] = 1.0
         rows.append(r2)
         rhs.append(2.0)
-    for i in range(n):  # x <= 1 then y <= 1
-        r = np.zeros(n)
-        r[i] = 1.0
-        rows.append(r)
-        rhs.append(1.0)
     c = np.concatenate([np.zeros(n_nodes), -w])
-    return LinearProgram(objective=c, A=np.array(rows), b=np.array(rhs),
-                         senses=[LE] * len(rows))
+    edge_lp = LinearProgram(c, np.array(rows), np.array(rhs), [LE] * len(rows))
+    return edge_lp.with_rows(np.eye(n), np.ones(n))  # x <= 1 then y <= 1
 
 
 def gen_production_planning(periods: int, seed: int) -> LinearProgram:
@@ -182,14 +178,9 @@ def gen_production_planning(periods: int, seed: int) -> LinearProgram:
         rows.append(capr)
         rhs.append(0.0)
         senses.append(LE)
-    for t in range(T):
-        yb = np.zeros(n)
-        yb[y0 + t] = 1.0
-        rows.append(yb)
-        rhs.append(1.0)
-        senses.append(LE)
     c = np.concatenate([prod_cost, hold_cost, setup_cost])
-    return LinearProgram(objective=c, A=np.array(rows), b=np.array(rhs), senses=senses)
+    lp = LinearProgram(objective=c, A=np.array(rows), b=np.array(rhs), senses=senses)
+    return lp.with_rows(np.eye(n)[y0:], np.ones(T))  # y_t <= 1
 
 
 def gen_set_cover(n_elements: int, n_subsets: int, p: float, seed: int) -> LinearProgram:
@@ -206,35 +197,20 @@ def gen_set_cover(n_elements: int, n_subsets: int, p: float, seed: int) -> Linea
         if not member[:, e].any():
             member[int(rng.integers(n_subsets)), e] = True
 
-    rows, rhs, senses = [], [], []
-    for e in range(n_elements):  # coverage
-        r = member[:, e].astype(float)
-        rows.append(r)
-        rhs.append(1.0)
-        senses.append(GE)
-    for i in range(n_subsets):  # X_i <= 1
-        r = np.zeros(n_subsets)
-        r[i] = 1.0
-        rows.append(r)
-        rhs.append(1.0)
-        senses.append(LE)
-    for i in range(n_subsets):  # X_i >= 0 (kept explicit: two bound rows per subset)
-        r = np.zeros(n_subsets)
-        r[i] = 1.0
-        rows.append(r)
-        rhs.append(0.0)
-        senses.append(GE)
-    c = np.ones(n_subsets)
-    return LinearProgram(objective=c, A=np.array(rows), b=np.array(rhs), senses=senses)
+    # Coverage; X_i <= 1; X_i >= 0, kept explicit: two bound rows per subset.
+    eye = np.eye(n_subsets)
+    A = np.vstack([member.T.astype(float), eye, eye])
+    b = np.concatenate([np.ones(n_elements), np.ones(n_subsets), np.zeros(n_subsets)])
+    senses = [GE] * n_elements + [LE] * n_subsets + [GE] * n_subsets
+    return LinearProgram(objective=np.ones(n_subsets), A=A, b=b, senses=senses)
 
 
 _GENERATORS = {
-    PACKING: lambda p, seed: gen_packing(p["n_vars"], p["n_rows"], seed,
-                                         p.get("b_lo"), p.get("b_hi")),
-    BIN_PACKING: lambda p, seed: gen_bin_packing(p["n_vars"], p["n_rows"], seed),
-    MAX_CUT: lambda p, seed: gen_max_cut(p["n_nodes"], p["n_edges"], seed),
-    PRODUCTION_PLANNING: lambda p, seed: gen_production_planning(p["periods"], seed),
-    SET_COVER: lambda p, seed: gen_set_cover(p["n_elements"], p["n_subsets"], p["p"], seed),
+    PACKING: gen_packing,
+    BIN_PACKING: gen_bin_packing,
+    MAX_CUT: gen_max_cut,
+    PRODUCTION_PLANNING: gen_production_planning,
+    SET_COVER: gen_set_cover,
 }
 
 # Families whose natural objective is maximization (stored negated).
@@ -243,7 +219,7 @@ NEGATED_FAMILIES = {PACKING, BIN_PACKING, MAX_CUT}
 
 def generate(spec: InstanceSpec) -> LinearProgram:
     """Deterministic: identical spec + seed produce identical instances."""
-    lp = _GENERATORS[spec.family](spec.params(), spec.seed)
+    lp = _GENERATORS[spec.family](**spec.params(), seed=spec.seed)
     lp.name = spec.instance_id
     lp.validate()
     return lp

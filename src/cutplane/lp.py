@@ -333,10 +333,10 @@ def _two_phase(sf: StandardForm, c: np.ndarray) -> LpSolution:
     bland_after = 5 * (m + width + n_art)
     cycle_cap = 50 * (m + width + n_art)
 
+    T = _zeros((m + 1, width + n_art + 1), dtype)
+    T[:m, :width] = work
+    T[:m, -1] = rhs
     if n_art:
-        T = _zeros((m + 1, width + n_art + 1), dtype)
-        T[:m, :width] = work
-        T[:m, -1] = rhs
         for a, i in enumerate(art_rows):
             T[i, width + a] = 1
             basis[i] = width + a
@@ -357,10 +357,6 @@ def _two_phase(sf: StandardForm, c: np.ndarray) -> LpSolution:
             _pivot(T, i, j, buf)
             basis[i] = j
         T = np.hstack([T[:, :width], T[:, -1:]])
-    else:
-        T = _zeros((m + 1, width + 1), dtype)
-        T[:m, :width] = work
-        T[:m, -1] = rhs
 
     cx = _zeros(width + 1, dtype)
     cx[:n] = c

@@ -36,6 +36,7 @@ REMOVE_LOOKAHEAD = "remove-lookahead"
 REMOVE_NEURAL = "remove-neural"
 REMOVE_RANDOM = "remove-random"
 REMOVAL_KINDS = (REMOVE_LOOKAHEAD, REMOVE_NEURAL, REMOVE_RANDOM)
+MODEL_KINDS = (NEURAL, REMOVE_NEURAL)  # the kinds that need a trained model
 
 # Look-ahead values within TIE_REL * (1 + |v|) of each other are equal: warm
 # and cold solves of one LP differ by about 1e-13, which must not pick a cut.
@@ -58,7 +59,7 @@ class Policy:
     def __post_init__(self):
         if self.kind not in ADDITION_KINDS + REMOVAL_KINDS:
             raise ValueError(f"unknown policy {self.kind!r}")
-        if self.kind in (NEURAL, REMOVE_NEURAL) and self.model is None:
+        if self.kind in MODEL_KINDS and self.model is None:
             raise ValueError(f"{self.kind} policy requires a model")
 
 

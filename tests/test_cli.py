@@ -1,6 +1,7 @@
 """CLI pipeline: gen/oracle/collect/train/eval/analyze on a miniature corpus."""
 
 import json
+import logging
 import re
 import shutil
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cutplane import cli
 from cutplane.cli import (
     SETTINGS,
     MissingModel,
@@ -147,6 +149,41 @@ def test_neural_policies_run_with_model(run_copy):
     assert "remove-neural" in text
 
 
+@pytest.mark.parametrize("command", ["collect", "eval"])
+def test_neural_policy_without_model_fails_before_any_run(run_copy, monkeypatch, command):
+    calls = []
+    monkeypatch.setattr(cli, "run_policy", lambda *args, **kw: calls.append(args))
+    with pytest.raises(MissingModel, match="neural"):
+        main([command, "--family", "packing", "--preset", "tiny", "--out", str(run_copy),
+              "--role", "test", "--max-iters", "3", "--policies", "random,neural"])
+    assert calls == []
+
+
+def test_eval_warns_on_oracle_values_that_are_not_proven_optima(run_copy, caplog):
+    """The IGC file is written as before; one WARNING names the unproven instance."""
+    base = ["--family", "packing", "--preset", "tiny", "--out", str(run_copy)]
+    argv = ["eval", "--max-iters", "3", "--policies", "random"] + base
+    igc = run_copy / "igc_packing.csv"
+    with caplog.at_level(logging.WARNING, logger="cutplane"):
+        main(argv)
+    assert not [r for r in caplog.records if "proven" in r.getMessage()]
+    before = igc.read_bytes()
+
+    path = oracle_path(run_copy, "packing", "tiny", "test")
+    doc = json.loads(path.read_text())
+    iid = sorted(doc["entries"])[1]
+    doc["entries"][iid]["proven"] = False
+    path.write_text(json.dumps(doc, sort_keys=True))
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="cutplane"):
+        main(argv)
+    warned = [r.getMessage() for r in caplog.records if "proven" in r.getMessage()]
+    assert len(warned) == 1 and iid in warned[0]
+    others = set(doc["entries"]) - {iid}
+    assert not any(other in warned[0] for other in others)
+    assert igc.read_bytes() == before
+
+
 def test_parse_counts():
     assert parse_counts("2000,500,500") == {"train": 2000, "val": 500, "test": 500}
     assert parse_counts("5") == {"train": 5, "val": 5, "test": 5}
@@ -170,6 +207,17 @@ def test_config_file_flag_precedence(tmp_path):
     assert settings.get("max_iters") == 3          # flag wins
     assert settings.get("family") == "set_cover"   # file fills the gap
     assert settings.get("preset") == "small"       # default remains
+
+
+@pytest.mark.parametrize("command,line,kind", [("collect", "max_iters = ten", "int"),
+                                                ("train", "lr = fast", "float")])
+def test_config_value_that_does_not_parse_names_its_key(tmp_path, command, line, kind):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(line + "\n")
+    key, value = (part.strip() for part in line.split("="))
+    settings = Settings(command, {}, read_config_file(cfg_file))
+    with pytest.raises(ValueError, match=rf"{key}.*'{value}'.*{kind}"):
+        settings.get(key)
 
 
 @pytest.mark.parametrize("key", ["frobnicate", "pivot_tol", "feasibility_tol",

@@ -166,8 +166,8 @@ def test_malformed_dataset_row_raises_schema_mismatch_naming_path(tmp_path, row)
 def test_replays_each_trajectory_in_its_own_arithmetic(monkeypatch):
     """A rational trajectory is replayed in exact arithmetic, without an option saying so."""
     lp = packing_lp(11)
-    traj = run_add_only(lp, Policy("lookahead"), RunConfig(max_iters=3, arithmetic=RATIONAL),
-                        instance_id="p11")
+    cfg = RunConfig(max_iters=3, arithmetic=RATIONAL, record_scores=True)
+    traj = run_add_only(lp, Policy("lookahead"), cfg, instance_id="p11")
     real = model.solve_lp
     modes = []
 

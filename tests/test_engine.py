@@ -69,6 +69,14 @@ def test_lookahead_strictly_improves_first_iteration():
     assert traj.records[1].lp_value > traj.records[0].lp_value + 1e-9
 
 
+@pytest.mark.parametrize("record", [False, True])
+def test_record_scores_alone_decides_whether_lookahead_records_them(record):
+    traj = run_add_only(two_var_lp(), Policy("lookahead"),
+                        RunConfig(max_iters=2, record_scores=record))
+    scored = [r.pool_scores is not None for r in traj.records if r.selected_ids]
+    assert scored and set(scored) == {record}
+
+
 @pytest.mark.parametrize("policy", ["random", "mv", "mnv", "lex", "minsim", "lookahead"])
 def test_add_only_lp_values_nondecreasing(policy):
     for seed in range(3):

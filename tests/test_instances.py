@@ -1,5 +1,6 @@
 """Family generators: dimensions, determinism, feasibility, boundedness."""
 
+import hashlib
 import json
 import re
 
@@ -27,6 +28,29 @@ def test_deterministic_bytes(tmp_path):
         save_instance(generate(spec), spec, p1)
         save_instance(generate(spec), spec, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# sha256 over every preset (PRESETS order) x seeds 0, 1, 2 of the fields the
+# benchmark's instance digest hashes; the data is integral, so no BLAS moves it.
+INSTANCE_DIGESTS = {
+    "packing": "0f6684f11a688a1d4729adef2723f7921565148ef8a56a74cda38fc51eb9b007",
+    "bin_packing": "2308061b9f3f967e25345ed1f17007700234022b8e0ce9a120c33b92ac03203d",
+    "max_cut": "3b0a2262ccf45e34a845c05c0f4bed9e240b9957fd98a440e48f1e60bcc6872e",
+    "production_planning": "9159631ef327d3bfd05af31f42b01106a9931afb7113ee9641bcb7dd51278c5e",
+    "set_cover": "1690b46cff2f131c1b5ed05c088a3681396ad399828fe2a9d08eed338671d81c",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generated_instances_are_pinned(family):
+    h = hashlib.sha256()
+    for preset in PRESETS[family]:
+        for seed in (0, 1, 2):
+            lp = generate(InstanceSpec(family, preset, seed))
+            for array in (lp.objective, lp.A, lp.b):
+                h.update(array.tobytes())
+            h.update("|".join(lp.senses).encode())
+    assert h.hexdigest() == INSTANCE_DIGESTS[family]
 
 
 def test_round_trip(tmp_path):

@@ -277,7 +277,7 @@ def _sweep():
             for seed in SEEDS:
                 lp = generate(InstanceSpec(family, preset, seed))
                 for policy in ("lookahead", "remove-lookahead"):
-                    cfg = RunConfig(max_iters=4, seed=seed)
+                    cfg = RunConfig(max_iters=4, seed=seed, record_scores=True)
                     out[family, preset, seed, policy] = run_policy(lp, policy, cfg)
     return out
 
